@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -96,6 +97,12 @@ def _write_text(path, text: str) -> None:
 
 def _dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _check_jobs(jobs: int) -> None:
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ParameterError(f"jobs must be in [1, {cpus}] (the CPU count), got {jobs}")
 
 
 @click.group()
@@ -281,10 +288,8 @@ def cmd_seq_topk(**kw):
     _write_text(kw["output_path"], _dump_json(doc))
 
 
-def _synth_chunk(pst_doc: dict, count: int, seed_seq) -> list:
-    pst = markov.pst_from_json_dict(pst_doc)
-    rng = np.random.default_rng(seed_seq)
-    return markov.generate_sequences(pst, count, rng)
+def _synth_chunk(pst, count: int, seed_seq) -> list:
+    return markov.generate_sequences(pst, count, np.random.default_rng(seed_seq))
 
 
 @main.command("seq-synth")
@@ -301,8 +306,7 @@ def cmd_seq_synth(**kw):
     kw = _apply_config(kw.pop("config_path"), kw)
     if kw["count"] < 0:
         raise ParameterError("count must be nonnegative")
-    if kw["jobs"] < 1:
-        raise ParameterError("jobs must be >= 1")
+    _check_jobs(kw["jobs"])
     pst = markov.load_pst(kw["pst_path"])
     jobs = min(kw["jobs"], max(kw["count"], 1))
     ss = np.random.SeedSequence(kw["seed"])
@@ -310,20 +314,12 @@ def cmd_seq_synth(**kw):
     base, rem = divmod(kw["count"], jobs)
     chunk_sizes = [base + (1 if i < rem else 0) for i in range(jobs)]
     if jobs == 1:
-        chunks = [_synth_chunk(pst.to_json_dict(), kw["count"], children[0])]
+        chunks = [_synth_chunk(pst, kw["count"], children[0])]
     else:
-        doc = pst.to_json_dict()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_synth_chunk, [doc] * jobs, chunk_sizes, children))
+            chunks = list(pool.map(_synth_chunk, [pst] * jobs, chunk_sizes, children))
     lines = [" ".join(seq) for chunk in chunks for seq in chunk]
     _write_text(kw["output_path"], "\n".join(lines))
-
-
-def _audit_improved_row(args):
-    scen_doc, lam = args
-    scen = scen_doc
-    log_ratio = svt_audit.improved_svt_log_ratio_bound(scen, lam)
-    return scen.name, log_ratio
 
 
 _VARIANTS = ("all", "binary", "vanilla", "improved")
@@ -352,22 +348,10 @@ def cmd_svt_audit(**kw):
         )
     if variant in ("all", "binary") and kw["k"] % 2:
         raise ParameterError("k must be even for the binary scenario")
-    if kw["jobs"] < 1:
-        raise ParameterError("jobs must be >= 1")
+    _check_jobs(kw["jobs"])
     rows = svt_audit.run_default_audit(
-        lam=kw["lam"], theta=kw["theta"], k=kw["k"], t=kw["t"]
+        lam=kw["lam"], theta=kw["theta"], k=kw["k"], t=kw["t"], jobs=kw["jobs"]
     )
-    if kw["jobs"] > 1:
-        # recompute the improved rows in parallel; results are identical,
-        # this only spreads the quadrature work
-        scens = svt_audit.improved_audit_battery(theta=kw["theta"], k=kw["k"])
-        with ProcessPoolExecutor(max_workers=kw["jobs"]) as pool:
-            results = dict(
-                pool.map(_audit_improved_row, [(s, kw["lam"]) for s in scens])
-            )
-        for row in rows:
-            if row["variant"] == "improved" and row["scenario"] in results:
-                row["log_ratio"] = results[row["scenario"]]
     if variant != "all":
         rows = [r for r in rows if r["variant"] == variant]
     if kw["fmt"] == "table":

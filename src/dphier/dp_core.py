@@ -1,4 +1,4 @@
-"""Laplace-distribution primitives, privacy parameterization, and split-cost bounds.
+"""Laplace primitives, privacy parameterization, split-cost bounds and the split engine.
 
 Everything here is pure given an explicit ``numpy.random.Generator``; callers
 that need parallelism should hand each worker its own stream (e.g. via
@@ -12,12 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InputDataError, ParameterError
 
 __all__ = [
+    "DEFAULT_DEPTH_CAP",
     "LaplaceSample",
     "PrivacyParams",
+    "biased_count",
+    "biased_split",
+    "check_tree_links",
     "compose_budgets",
+    "grow_levels",
     "laplace_cdf",
     "laplace_pdf",
     "laplace_sf",
@@ -28,6 +33,11 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+# Bisecting a float interval degenerates past ~52 halvings, so builds stop
+# splitting at this depth.  The cap is data-independent and therefore
+# privacy-neutral; nodes at the cap are leaves and draw no split noise.
+DEFAULT_DEPTH_CAP = 40
 
 
 def _check_scale(scale: float) -> None:
@@ -233,3 +243,74 @@ def rho_upper(x, theta: float, lam: float):
     decay = flat * np.exp(np.minimum(theta + 1.0 - x, 0.0) / lam)
     out = np.where(x < theta + 1.0, flat, decay)
     return float(out) if out.ndim == 0 else out
+
+
+def biased_count(c, depth, theta: float, delta: float):
+    """Depth-biased split score ``max(theta - delta, c - depth * delta)``,
+    elementwise over arrays; a float for scalar inputs."""
+    out = np.maximum(theta - delta, np.asarray(c) - depth * delta)
+    return float(out) if out.ndim == 0 else out
+
+
+def biased_split(score, depth: int, params: PrivacyParams, rng, eligible, noiseless=False):
+    """Split mask of one tree level: eligible nodes split when
+    ``biased_count(score) + Lap(params.lam) > params.theta``, with one batched
+    draw in level order (bit for bit one scalar draw per node in BFS order).
+    Ineligible nodes draw nothing and never split."""
+    b = biased_count(np.asarray(score)[eligible], depth, params.theta, params.delta)
+    if not noiseless:
+        b = b + sample_laplace(params.lam, rng, size=b.size)
+    split = np.zeros(len(eligible), dtype=bool)
+    split[eligible] = b > params.theta
+    return split
+
+
+def grow_levels(n_items: int, fanout: int, decide, child_codes) -> None:
+    """Walk a tree level by level with its ``n_items`` items (points, sequence
+    positions) grouped node by node in BFS order, all starting at the root.
+
+    ``decide(depth, sizes, items)`` returns the level's split mask from the
+    item ids node by node and each node's item count.  ``child_codes(depth,
+    items, parent)`` gives each item of a splitting node a child code in
+    ``[0, fanout)``; ``parent`` ranks the item's node among the splitting
+    nodes, and the s-th one's children are ``s * fanout + code`` on the next
+    level.  The walk ends at the first level where no node splits.
+    """
+    items = np.arange(n_items)
+    sizes = np.array([n_items])
+    depth = 0
+    while True:
+        split = np.asarray(decide(depth, sizes, items), dtype=bool)
+        if not split.any():
+            return
+        n_split = np.count_nonzero(split)
+        items = items[np.repeat(split, sizes)]
+        # int32 keeps the per-item temporaries (and peak memory) small
+        parent = np.repeat(np.arange(n_split, dtype=np.int32), sizes[split])
+        key = child_codes(depth, items, parent) + parent * fanout
+        items = items[np.argsort(key, kind="stable")]
+        sizes = np.bincount(key, minlength=n_split * fanout)
+        depth += 1
+
+
+def check_tree_links(size: int, root: int, links) -> None:
+    """Raise InputDataError unless node links form one tree under ``root``.
+
+    ``links`` yields ``(parent, child, extends)`` triples, where ``extends``
+    says the child sits one level below its parent (depth plus one, or a
+    context one symbol longer).  The root must have no parent and every other
+    node exactly one; with levels strictly increasing along links, that rules
+    out cycles and makes every node reachable from the root.
+    """
+    parent = [-1] * size
+    for p, c, extends in links:
+        if c == root:
+            raise InputDataError(f"root node {root} is listed as a child of node {p}")
+        if parent[c] >= 0:
+            raise InputDataError(f"node {c} has two parents ({parent[c]} and {p})")
+        if not extends:
+            raise InputDataError(f"node {c} is not one level below its parent {p}")
+        parent[c] = p
+    for c, p in enumerate(parent):
+        if p < 0 and c != root:
+            raise InputDataError(f"node {c} is not reachable from the root")

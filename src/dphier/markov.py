@@ -2,8 +2,8 @@
 
 A prediction suffix tree (PST) node holds a predictor string (the suffix
 context, extended leftward as the tree deepens) and a next-symbol histogram
-over the alphabet plus the end marker.  The private build reuses the
-bias-decayed split loop of the spatial module with the score
+over the alphabet plus the end marker.  The private build runs the
+bias-decayed split engine :func:`dphier.dp_core.grow_levels` with the score
 
     score(v) = ||hist(v)||_1 - max(hist(v))
 
@@ -18,16 +18,16 @@ with START=0 and END=1.
 
 from __future__ import annotations
 
+import itertools
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
 import numpy as np
 
-from .dp_core import PrivacyParams, privtree_params, sample_laplace
+from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, biased_split, check_tree_links
+from .dp_core import grow_levels, privtree_params, sample_laplace
 from .errors import GenerationError, InputDataError, ParameterError
-from .spatial import DEFAULT_DEPTH_CAP, biased_count
 
 __all__ = [
     "Alphabet",
@@ -200,8 +200,9 @@ def load_sequences(path):
     return out
 
 
-def pst_score(hist) -> float:
-    """Histogram magnitude minus its largest count; 0 for an empty histogram."""
+def pst_score(hist):
+    """Histogram magnitude minus its largest count (0 when empty), along the
+    last axis: a float for one histogram, an array for a stack of them."""
     if isinstance(hist, dict):
         counts = np.asarray(list(hist.values()), dtype=np.float64)
     else:
@@ -210,7 +211,8 @@ def pst_score(hist) -> float:
         return 0.0
     if (counts < 0).any():
         raise ParameterError("histogram counts must be nonnegative")
-    return float(counts.sum() - counts.max())
+    out = counts.sum(axis=-1) - counts.max(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -312,6 +314,15 @@ def pst_from_json_dict(doc: dict) -> Pst:
     root = next((v.id for v in nodes if v is not None and not v.predictor), None)
     if root is None:
         raise InputDataError("PST document has no empty-predictor root")
+    check_tree_links(
+        size,
+        root,
+        (
+            (v.id, c, nodes[c].predictor == (sym,) + v.predictor)
+            for v in nodes
+            for sym, c in v.children.items()
+        ),
+    )
     return Pst(
         nodes=nodes, alphabet=alphabet, l_max=l_max, params_info=params_info, root=root
     )
@@ -338,33 +349,22 @@ def load_pst(path) -> Pst:
 # ---------------------------------------------------------------------------
 
 
-def _all_positions(data: SequenceDataset):
-    seq_idx, next_sym, next_pos = [], [], []
-    for si, (seq, is_open) in enumerate(zip(data.sequences, data.open_ended)):
-        emitted = list(seq) if is_open else list(seq) + [END_ID]
-        for i, sym in enumerate(emitted, start=1):
-            seq_idx.append(si)
-            next_sym.append(sym)
-            next_pos.append(i)
-    return (
-        np.asarray(seq_idx, dtype=np.intp),
-        np.asarray(next_sym, dtype=np.intp),
-        np.asarray(next_pos, dtype=np.intp),
+def _positions(data: SequenceDataset):
+    """Flat id matrix, and each position's index of its last context symbol.
+
+    Matrix row s is the start marker, sequence s, its end marker if any, then
+    start-marker padding.  A position's next symbol is one step right of its
+    index; the symbol extending a depth-D predictor is D steps left."""
+    width = data.l_max + 1
+    lens = np.fromiter(map(len, data.sequences), dtype=np.intp, count=data.n)
+    closed = ~np.asarray(data.open_ended, dtype=bool)
+    ids = np.full((data.n, width), START_ID, dtype=np.int32)
+    ids[:, 1:][np.arange(width - 1) < lens[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(data.sequences), np.int32
     )
-
-
-def _hist_from_positions(next_sym: np.ndarray, width: int) -> np.ndarray:
-    return np.bincount(next_sym, minlength=width).astype(np.float64)
-
-
-def _extension_symbols(data, seq_idx, next_pos, depth):
-    """Symbol one step before the depth-long predictor in each context
-    (START when the context is exactly the predictor)."""
-    out = np.empty(seq_idx.size, dtype=np.intp)
-    for k in range(seq_idx.size):
-        j = next_pos[k] - 1 - depth  # 1-based index into the sequence
-        out[k] = data.sequences[seq_idx[k]][j - 1] if j >= 1 else START_ID
-    return out
+    ids[closed, lens[closed] + 1] = END_ID
+    rows, offsets = np.nonzero(np.arange(width) < (lens + closed)[:, None])
+    return ids.reshape(-1), rows * width + offsets
 
 
 def exact_histograms(data: SequenceDataset, predictors) -> dict:
@@ -432,39 +432,45 @@ def build_private_pst(
     params = privtree_params(eps_tree, beta, theta, sensitivity=float(data.l_max))
 
     width = data.alphabet.size + 2
-    seq_idx, next_sym, next_pos = _all_positions(data)
-    root = PstNode(id=0, predictor=())
-    nodes = [root]
-    # (node id, position arrays); exact histograms live only in this frontier
-    pending = deque([(0, seq_idx, next_sym, next_pos)])
-    leaf_exact = {}
-    while pending:
-        nid, p_seq, p_sym, p_pos = pending.popleft()
-        node = nodes[nid]
-        hist = _hist_from_positions(p_sym, width)
-        blocked = node.predictor and node.predictor[0] == START_ID
-        split = False
-        if not blocked and node.depth < depth_cap:
-            b = biased_count(pst_score(hist), node.depth, params.theta, params.delta)
-            b_hat = b if noiseless else b + sample_laplace(params.lam, rng)
-            split = b_hat > params.theta
-        if not split:
-            leaf_exact[nid] = hist
-            continue
-        ext = _extension_symbols(data, p_seq, p_pos, node.depth)
-        for sym in (START_ID, *data.alphabet.symbol_ids):
-            child = PstNode(id=len(nodes), predictor=(sym,) + node.predictor)
-            node.children[sym] = child.id
-            nodes.append(child)
-            mask = ext == sym
-            pending.append((child.id, p_seq[mask], p_sym[mask], p_pos[mask]))
+    symbols, positions = _positions(data)
+    next_sym = symbols[positions + 1]
+    nodes = [PstNode(id=0, predictor=())]
+    level = nodes[:]
+    leaves, leaf_hists = [], []  # exact histograms live only in leaf_hists
 
-    hist_scale = data.l_max / eps_hist
-    for nid in sorted(leaf_exact):
-        hist = leaf_exact[nid].copy()
-        if not noiseless:
-            hist[1:] += sample_laplace(hist_scale, rng, size=width - 1)
-        nodes[nid].hist = hist
+    def decide(depth, sizes, items):
+        nonlocal level
+        node_of = np.repeat(np.arange(sizes.size), sizes)
+        hists = np.bincount(
+            node_of * width + next_sym[items], minlength=sizes.size * width
+        ).reshape(sizes.size, width).astype(np.float64)
+        unblocked = [v.predictor[:1] != (START_ID,) for v in level]
+        eligible = np.array(unblocked) & (depth < depth_cap)
+        split = biased_split(pst_score(hists), depth, params, rng, eligible, noiseless)
+        leaves.extend(v for v, s in zip(level, split) if not s)
+        leaf_hists.append(hists[~split])
+        first = len(nodes)
+        for parent in (v for v, s in zip(level, split) if s):
+            for sym in (START_ID, *data.alphabet.symbol_ids):
+                parent.children[sym] = len(nodes)
+                nodes.append(PstNode(id=len(nodes), predictor=(sym,) + parent.predictor))
+        level = nodes[first:]
+        return split
+
+    def child_codes(depth, items, parent):
+        # child order is (START, symbols...): START -> 0, symbol id s -> s - 1
+        return np.maximum(symbols[positions[items] - depth] - 1, 0)
+
+    grow_levels(positions.size, beta, decide, child_codes)
+
+    # leaves come level by level, hence in id order
+    hists = np.concatenate(leaf_hists)
+    if not noiseless:
+        hists[:, 1:] += sample_laplace(
+            data.l_max / eps_hist, rng, size=(len(leaves), width - 1)
+        )
+    for node, hist in zip(leaves, hists):
+        node.hist = hist
     # internal histograms are leaf sums; negatives are zeroed afterwards so
     # the sums themselves stay unbiased
     for node in reversed(nodes):

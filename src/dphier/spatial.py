@@ -1,6 +1,7 @@
 """Private spatial decompositions and range-count queries over released trees.
 
-Three synopsis builders share one tree representation:
+Three synopsis builders share one tree representation (the two recursive ones
+grow it level by level with :func:`dphier.dp_core.grow_levels`):
 
 * :func:`build_privtree` -- recursive splitting driven by a depth-biased,
   noised point count, with a constant noise scale independent of tree height.
@@ -18,12 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dp_core import PrivacyParams, laplace_sf, sample_laplace
+from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, biased_count, biased_split
+from .dp_core import check_tree_links, grow_levels, laplace_sf, sample_laplace
 from .errors import InputDataError, ParameterError
 
 __all__ = [
@@ -50,11 +51,6 @@ __all__ = [
     "tree_shape_mask",
     "trees_equal",
 ]
-
-# Bisecting a float interval degenerates past ~52 halvings, so builds stop
-# splitting at this depth.  The cap is data-independent and therefore
-# privacy-neutral; nodes at the cap are leaves and draw no split noise.
-DEFAULT_DEPTH_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -136,8 +132,8 @@ class RangeQuery:
 class TreeNode:
     """One region of a decomposition tree.
 
-    ``exact_count`` is working state for builders only; it is stripped before
-    a tree is returned and must never reach a release artifact.
+    ``exact_count`` must never reach a release artifact; the serializer
+    refuses a tree that carries one.
     """
 
     id: int
@@ -239,11 +235,6 @@ def trees_equal(a: DecompTree, b: DecompTree) -> bool:
     return True
 
 
-def biased_count(c: float, depth: int, theta: float, delta: float) -> float:
-    """Depth-biased split score ``max(theta - delta, c - depth * delta)``."""
-    return max(theta - delta, c - depth * delta)
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -253,7 +244,7 @@ def _dims_for_level(depth: int, d: int, dims_per_level: int) -> tuple:
     """Dimensions bisected at this depth: all of them, or a round-robin window.
 
     Always ascending, so child order can be reconstructed from regions alone
-    (see _node_split_geometry)."""
+    (see _split_geometry)."""
     if dims_per_level == d:
         return tuple(range(d))
     return tuple(
@@ -277,13 +268,6 @@ def _child_regions(lo, hi, dims):
     return out
 
 
-def _child_codes(pts, idx, dims, mids):
-    code = np.zeros(idx.size, dtype=np.intp)
-    for j, (dim, mid) in enumerate(zip(dims, mids)):
-        code |= (pts[idx, dim] >= mid).astype(np.intp) << j
-    return code
-
-
 def _resolve_dims_per_level(data: SpatialDataset, dims_per_level):
     d = data.domain.dims
     if dims_per_level is None:
@@ -295,37 +279,68 @@ def _resolve_dims_per_level(data: SpatialDataset, dims_per_level):
     return int(dims_per_level)
 
 
-def _grow(data: SpatialDataset, dims_per_level: int, visit):
-    """Shared BFS split loop.
+def _split_geometry(nodes: list, parents: list, fanout: int):
+    """(mids, code weights) of each parent's split, read from its first child:
+    the lower half along every dimension where its box differs from the
+    parent's.  Codes carry one bit per split dimension, in ascending order."""
+    lo = np.array([v.lo for v in parents])
+    hi = np.array([v.hi for v in parents])
+    first = [nodes[v.children[0]] for v in parents]
+    first_lo = np.array([v.lo for v in first])
+    first_hi = np.array([v.hi for v in first])
+    moved = (first_lo != lo) | (first_hi != hi)
+    n_kids = np.array([len(v.children) for v in parents])
+    bad = (n_kids != fanout) | (n_kids != 1 << moved.sum(axis=1))
+    if bad.any() or (moved & (first_lo != lo)).any():
+        raise InputDataError("tree children do not form a recognized bisection")
+    return first_hi, (moved << (np.cumsum(moved, axis=1) - moved)).astype(np.int32)
 
-    ``visit(count, depth) -> (split, noisy_count)`` holds the builder-specific
-    rule; noise draws therefore happen in BFS order on a single stream.
-    Exact counts are kept on nodes only while growing and stripped at the end.
-    """
-    pts = data.points
+
+def _walk(nodes: list, root: int, data: SpatialDataset, fanout: int, visit) -> None:
+    """Partition the points down a tree of TreeNodes, one level at a time.
+
+    ``visit(depth, level, counts)`` gets the level's nodes and exact point
+    counts and returns the split mask; a builder adds the splitting nodes'
+    children before returning, a replay finds them in place."""
+    level = [nodes[root]]
+
+    def decide(depth, sizes, items):
+        nonlocal level
+        split = visit(depth, level, sizes)
+        level = [v for v, s in zip(level, split) if s]
+        return split
+
+    def child_codes(depth, items, parent):
+        # level holds the splitting parents here; advance it to their children
+        nonlocal level
+        mids, weights = _split_geometry(nodes, level, fanout)
+        level = [nodes[c] for v in level for c in v.children]
+        code = np.zeros(items.size, dtype=np.int32)
+        for j in np.flatnonzero(weights.any(axis=0)):
+            code += (data.points[items, j] >= mids[parent, j]) * weights[parent, j]
+        return code
+
+    grow_levels(data.n, fanout, decide, child_codes)
+
+
+def _grow(data: SpatialDataset, dims_per_level: int, rule):
+    """Split loop of the recursive builders: ``rule(depth, level, counts)``
+    decides a whole level from its exact counts, so noise is drawn level by
+    level, in BFS order, on one stream."""
     d = data.domain.dims
-    root = TreeNode(id=0, depth=0, lo=data.domain.lo, hi=data.domain.hi)
-    nodes = [root]
-    pending = deque([(0, np.arange(pts.shape[0]))])
-    while pending:
-        nid, idx = pending.popleft()
-        node = nodes[nid]
-        node.exact_count = int(idx.size)
-        split, noisy = visit(int(idx.size), node.depth)
-        node.noisy_count = noisy
-        if not split:
-            continue
-        dims = _dims_for_level(node.depth, d, dims_per_level)
-        regions = _child_regions(node.lo, node.hi, dims)
-        mids = [(node.lo[j] + node.hi[j]) / 2.0 for j in dims]
-        codes = _child_codes(pts, idx, dims, mids)
-        for c_idx, (clo, chi) in enumerate(regions):
-            child = TreeNode(id=len(nodes), depth=node.depth + 1, lo=clo, hi=chi)
-            node.children.append(child.id)
-            nodes.append(child)
-            pending.append((child.id, idx[codes == c_idx]))
-    for node in nodes:
-        node.exact_count = None
+    nodes = [TreeNode(id=0, depth=0, lo=data.domain.lo, hi=data.domain.hi)]
+
+    def visit(depth, level, counts):
+        split = rule(depth, level, counts)
+        dims = _dims_for_level(depth, d, dims_per_level)
+        for node, s in zip(level, split.tolist()):
+            if s:
+                for clo, chi in _child_regions(node.lo, node.hi, dims):
+                    node.children.append(len(nodes))
+                    nodes.append(TreeNode(id=len(nodes), depth=depth + 1, lo=clo, hi=chi))
+        return split
+
+    _walk(nodes, 0, data, 1 << dims_per_level, visit)
     return nodes
 
 
@@ -355,16 +370,12 @@ def build_privtree(
         )
     if not noiseless and rng is None:
         raise ParameterError("rng is required unless noiseless=True")
-    theta, delta, lam = params.theta, params.delta, params.lam
 
-    def visit(count, depth):
-        if depth >= depth_cap:
-            return False, None
-        b = biased_count(count, depth, theta, delta)
-        b_hat = b if noiseless else b + sample_laplace(lam, rng)
-        return b_hat > theta, None
+    def rule(depth, level, counts):
+        eligible = np.full(counts.size, depth < depth_cap)
+        return biased_split(counts, depth, params, rng, eligible, noiseless)
 
-    nodes = _grow(data, dims_per_level, visit)
+    nodes = _grow(data, dims_per_level, rule)
     info = {
         "epsilon": params.epsilon,
         "lambda": params.lam,
@@ -399,11 +410,15 @@ def build_simple_tree(
         raise ParameterError("rng is required unless noiseless=True")
     dims_per_level = _resolve_dims_per_level(data, dims_per_level)
 
-    def visit(count, depth):
-        c_hat = float(count) if noiseless else count + sample_laplace(lam, rng)
-        return (c_hat > theta and depth < h - 1), c_hat
+    def rule(depth, level, counts):
+        c_hat = counts.astype(np.float64)
+        if not noiseless:
+            c_hat += sample_laplace(lam, rng, size=counts.size)
+        for node, c in zip(level, c_hat.tolist()):
+            node.noisy_count = c
+        return (c_hat > theta) & (depth < h - 1)
 
-    nodes = _grow(data, dims_per_level, visit)
+    nodes = _grow(data, dims_per_level, rule)
     info = {"epsilon": None, "lambda": float(lam), "theta": float(theta), "delta": None}
     return DecompTree(nodes=nodes, fanout=1 << dims_per_level, params_info=info)
 
@@ -458,38 +473,17 @@ def build_ug(
 # ---------------------------------------------------------------------------
 
 
-def _node_split_geometry(tree: DecompTree, node: TreeNode):
-    """Recover (dims, mids) of a node's split from its first child's region."""
-    first = tree.node(node.children[0])
-    dims = tuple(
-        j
-        for j in range(len(node.lo))
-        if first.lo[j] != node.lo[j] or first.hi[j] != node.hi[j]
-    )
-    if len(node.children) != 1 << len(dims) or any(
-        first.lo[j] != node.lo[j] for j in dims
-    ):
-        raise InputDataError("tree children do not form a recognized bisection")
-    return dims, [first.hi[j] for j in dims]
-
-
 def _leaf_exact_counts(tree: DecompTree, data: SpatialDataset) -> dict:
     root = tree.node(tree.root)
     if tuple(root.lo) != data.domain.lo or tuple(root.hi) != data.domain.hi:
         raise InputDataError("tree domain does not match dataset domain")
-    pts = data.points
     out = {}
-    pending = deque([(tree.root, np.arange(pts.shape[0]))])
-    while pending:
-        nid, idx = pending.popleft()
-        node = tree.node(nid)
-        if node.is_leaf:
-            out[nid] = int(idx.size)
-            continue
-        dims, mids = _node_split_geometry(tree, node)
-        codes = _child_codes(pts, idx, dims, mids)
-        for c_idx, cid in enumerate(node.children):
-            pending.append((cid, idx[codes == c_idx]))
+
+    def visit(depth, level, counts):
+        out.update((v.id, c) for v, c in zip(level, counts.tolist()) if v.is_leaf)
+        return [not v.is_leaf for v in level]
+
+    _walk(tree.nodes, tree.root, data, tree.fanout, visit)
     return out
 
 
@@ -514,12 +508,12 @@ def attach_noisy_counts(
     if not noiseless and rng is None:
         raise ParameterError("rng is required unless noiseless=True")
     counts = _leaf_exact_counts(tree, data)
-    scale = 1.0 / epsilon_counts
-    for nid in sorted(counts):
-        c = counts[nid]
-        tree.node(nid).noisy_count = float(c) if noiseless else c + sample_laplace(
-            scale, rng
-        )
+    ids = sorted(counts)
+    noisy = np.array([counts[nid] for nid in ids], dtype=np.float64)
+    if not noiseless:
+        noisy += sample_laplace(1.0 / epsilon_counts, rng, size=noisy.size)
+    for nid, c in zip(ids, noisy.tolist()):
+        tree.node(nid).noisy_count = c
     tree.invalidate_caches()
     tree._grid = None  # grid fast-path cache would now be stale
     return tree
@@ -649,6 +643,11 @@ def tree_from_json_dict(doc: dict) -> DecompTree:
             root = node.id
     if root is None:
         raise InputDataError("tree document has no depth-0 root node")
+    check_tree_links(
+        len(nodes),
+        root,
+        ((v.id, c, nodes[c].depth == v.depth + 1) for v in nodes for c in v.children),
+    )
     tree = DecompTree(nodes=nodes, fanout=fanout, params_info=params_info, root=root)
     tree._grid = _detect_grid(tree)
     return tree
@@ -756,29 +755,24 @@ def load_workload_csv(path, dims: int):
 # ---------------------------------------------------------------------------
 
 
-def _candidate_decision_nodes(domain: SpatialDomain, depth_cap: int, dims_per_level: int):
-    """BFS enumeration of all nodes with depth < depth_cap in the complete tree.
+def _decision_scores(data, params, depth_cap, dims_per_level):
+    """(biased scores, parents, counts) of the decision nodes (depth <
+    depth_cap) of the complete tree in BFS order; the root's parent is -1."""
+    dims_per_level = _resolve_dims_per_level(data, dims_per_level)
+    fanout = 1 << dims_per_level
+    if params.beta != fanout:
+        raise ParameterError("params.beta does not match the split fanout")
+    levels = []
 
-    Returns (regions, depths, parents); parents index into the same list,
-    -1 for the root.  Only these nodes make split decisions.
-    """
-    d = domain.dims
-    regions = [(domain.lo, domain.hi)]
-    depths = [0]
-    parents = [-1]
-    frontier = [0]
-    for depth in range(depth_cap - 1):
-        nxt = []
-        for pi in frontier:
-            lo, hi = regions[pi]
-            dims = _dims_for_level(depth, d, dims_per_level)
-            for clo, chi in _child_regions(lo, hi, dims):
-                regions.append((clo, chi))
-                depths.append(depth + 1)
-                parents.append(pi)
-                nxt.append(len(regions) - 1)
-        frontier = nxt
-    return regions, np.asarray(depths), np.asarray(parents)
+    def rule(depth, level, counts):
+        levels.append(counts)
+        return np.full(counts.size, depth < depth_cap - 1)
+
+    _grow(data, dims_per_level, rule)
+    counts = np.concatenate(levels)
+    depths = np.repeat(np.arange(len(levels)), [c.size for c in levels])
+    b = biased_count(counts, depths, params.theta, params.delta)
+    return b, (np.arange(counts.size) - 1) // fanout, counts
 
 
 def privtree_split_probabilities(
@@ -793,27 +787,8 @@ def privtree_split_probabilities(
     Returns (probs, parents, counts) over the decision nodes (depth <
     depth_cap) of the complete tree, in BFS order.
     """
-    dims_per_level = _resolve_dims_per_level(data, dims_per_level)
-    if params.beta != 1 << dims_per_level:
-        raise ParameterError("params.beta does not match the split fanout")
-    regions, depths, parents = _candidate_decision_nodes(
-        data.domain, depth_cap, dims_per_level
-    )
-    pts = data.points
-    counts = np.empty(len(regions), dtype=np.int64)
-    for i, (lo, hi) in enumerate(regions):
-        mask = np.ones(pts.shape[0], dtype=bool)
-        for j in range(data.domain.dims):
-            mask &= (pts[:, j] >= lo[j]) & (pts[:, j] < hi[j])
-        counts[i] = int(mask.sum())
-    b = np.array(
-        [
-            biased_count(c, depth, params.theta, params.delta)
-            for c, depth in zip(counts, depths)
-        ]
-    )
-    probs = laplace_sf(params.theta - b, params.lam)
-    return probs, parents, counts
+    b, parents, counts = _decision_scores(data, params, depth_cap, dims_per_level)
+    return laplace_sf(params.theta - b, params.lam), parents, counts
 
 
 def simulate_privtree_shapes(
@@ -832,24 +807,14 @@ def simulate_privtree_shapes(
     draws the same Laplace threshold test per node as build_privtree but
     vectorized across runs, which is what makes million-run audits feasible.
     """
-    dims_per_level = _resolve_dims_per_level(data, dims_per_level)
-    regions, depths, parents = _candidate_decision_nodes(
-        data.domain, depth_cap, dims_per_level
-    )
-    ndec = len(regions)
+    fanout = 1 << _resolve_dims_per_level(data, dims_per_level)
+    # nodes with depth < depth_cap in the complete tree, at least the root
+    ndec = max(1, (fanout**depth_cap - 1) // (fanout - 1))
     if ndec > 62:
         raise ParameterError(
             f"shape masks support at most 62 decision nodes, got {ndec}"
         )
-    probs, parents, counts = privtree_split_probabilities(
-        data, params, depth_cap=depth_cap, dims_per_level=dims_per_level
-    )
-    b = np.array(
-        [
-            biased_count(c, depth, params.theta, params.delta)
-            for c, depth in zip(counts, depths)
-        ]
-    )
+    b, parents, _ = _decision_scores(data, params, depth_cap, dims_per_level)
     noise = sample_laplace(params.lam, rng, size=(runs, ndec))
     raw_split = (b[None, :] + noise) > params.theta
     eff = np.empty_like(raw_split)
@@ -881,31 +846,22 @@ def tree_shape_mask(
     tree: DecompTree, *, depth_cap: int, dims_per_level: int | None = None
 ) -> int:
     """Mask of a concrete built tree in the candidate-node numbering."""
-    root = tree.node(tree.root)
     if dims_per_level is None:
         dims_per_level = tree.dims
-    regions, depths, parents = _candidate_decision_nodes(
-        SpatialDomain(root.lo, root.hi), depth_cap, dims_per_level
-    )
-    # pair candidate decision nodes with real nodes by BFS descent
+    fanout = 1 << dims_per_level
     mask = 0
-    pairs = deque([(0, tree.root)])
-    children_of = {}
-    for i, p in enumerate(parents):
-        if p >= 0:
-            children_of.setdefault(int(p), []).append(i)
+    pairs = [(0, tree.root)]
     while pairs:
-        ci, nid = pairs.popleft()
+        ci, nid = pairs.pop()
         node = tree.node(nid)
         if node.is_leaf:
             continue
         mask |= 1 << ci
-        cand_children = children_of.get(ci, [])
-        if cand_children:
-            if len(cand_children) != len(node.children):
+        if node.depth < depth_cap - 1:
+            if len(node.children) != fanout:
                 raise InputDataError("tree fanout does not match candidate enumeration")
-            for cci, cnid in zip(cand_children, node.children):
-                pairs.append((cci, cnid))
+            # BFS numbering of the complete tree: candidate i's children
+            pairs.extend((ci * fanout + 1 + c, cid) for c, cid in enumerate(node.children))
         elif any(not tree.node(c).is_leaf for c in node.children):
             raise InputDataError("tree is deeper than the candidate depth cap")
     return mask

@@ -54,3 +54,12 @@ def random_dataset(rng, n=None, d=2):
     pts = np.clip(np.vstack(parts), 0.0, 1.0 - 1e-9)
     domain = spatial.SpatialDomain((0.0,) * d, (1.0,) * d)
     return spatial.SpatialDataset(domain, pts)
+
+
+def assert_same_release(got, want):
+    """Byte-equal ``dumps()``; a failure names the first differing node,
+    because pytest's diff of two whole documents takes minutes."""
+    if got.dumps() != want.dumps():
+        pairs = zip(got.to_json_dict()["nodes"], want.to_json_dict()["nodes"])
+        first = next((a for a, b in pairs if a != b), "none (lengths or params differ)")
+        pytest.fail(f"released documents differ; first differing node: {first}")

@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dphier import cli, svt_audit
 from dphier.cli import main
 
 
@@ -310,3 +312,59 @@ class TestArtifactHygiene:
             doc = json.loads(artifact.read_text())
             blob = json.dumps(doc)
             assert "exact" not in blob
+
+
+class TestLoadValidation:
+    def test_range_query_on_cyclic_tree_is_input_error(self, runner, tmp_path):
+        doc = {
+            "fanout": 2,
+            "params": {"epsilon": None, "lambda": None, "theta": None, "delta": None},
+            "nodes": [
+                {"id": 0, "depth": 0, "lo": [0.0], "hi": [1.0], "children": [1]},
+                {"id": 1, "depth": 1, "lo": [0.0], "hi": [0.5], "children": [0],
+                 "noisy_count": 1.0},
+            ],
+        }
+        tree = tmp_path / "cyclic.json"
+        tree.write_text(json.dumps(doc))
+        workload = tmp_path / "q.csv"
+        workload.write_text("0.1,0.4\n")
+        res = runner.invoke(
+            main, ["range-query", "--tree", str(tree), "--workload", str(workload)]
+        )
+        assert res.exit_code == 2
+        assert "root node 0 is listed as a child" in res.output
+
+
+def refuse_pool(*args, **kwargs):
+    raise AssertionError("a process pool was created")
+
+
+class TestJobsCap:
+    @pytest.mark.parametrize("module", [cli, svt_audit])
+    def test_jobs_above_cpu_count_rejected_before_any_pool(
+        self, runner, tmp_path, sequences_txt, monkeypatch, module
+    ):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", refuse_pool)
+        jobs = str((os.cpu_count() or 1) + 1)
+        if module is cli:
+            res, pst = TestSequenceCommands().build_pst(runner, tmp_path, sequences_txt)
+            assert res.exit_code == 0, res.output
+            args = ["seq-synth", "--pst", str(pst), "--count", "1000", "--jobs", jobs]
+        else:
+            args = ["svt-audit", "--jobs", jobs]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "jobs must be in [1," in res.output
+
+    def test_audit_parallel_output_matches_serial(self, runner, tmp_path):
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"audit{jobs}.json"
+            res = runner.invoke(
+                main, ["svt-audit", "--jobs", jobs, "--output", str(out)]
+            )
+            assert res.exit_code == 0, res.output
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from dphier.dp_core import (
     LaplaceSample,
     PrivacyParams,
+    biased_count,
+    biased_split,
     compose_budgets,
+    grow_levels,
     laplace_cdf,
     laplace_pdf,
     laplace_sf,
@@ -253,3 +256,84 @@ class TestComposeBudgets:
     def test_nonpositive_rejected(self):
         with pytest.raises(ParameterError):
             compose_budgets([0.5, 0.0])
+
+
+class TestBiasedCount:
+    def test_array_matches_scalar(self):
+        counts = np.array([0, 1, 5, 20, 300])
+        depths = np.array([0, 5, 2, 3, 9])
+        out = biased_count(counts, depths, 0.0, 3.23557)
+        assert isinstance(out, np.ndarray)
+        scalars = [biased_count(int(c), int(d), 0.0, 3.23557) for c, d in zip(counts, depths)]
+        assert all(isinstance(v, float) for v in scalars)
+        assert out.tolist() == scalars
+
+
+class TestBiasedSplit:
+    def test_one_scalar_draw_per_eligible_node_in_order(self):
+        params = privtree_params(1.0, 4, 0.0)
+        score = np.array([3.0, 50.0, 0.0, 7.0, 12.0])
+        eligible = np.array([True, False, True, True, False])
+        split = biased_split(score, 1, params, np.random.default_rng(4), eligible)
+        rng = np.random.default_rng(4)
+        expected = []
+        for c, ok in zip(score, eligible):
+            b = max(params.theta - params.delta, c - params.delta)
+            expected.append(bool(ok) and b + sample_laplace(params.lam, rng) > params.theta)
+        assert split.tolist() == expected
+
+    def test_ineligible_level_draws_nothing(self):
+        params = privtree_params(1.0, 4, 0.0)
+        rng = np.random.default_rng(4)
+        split = biased_split(np.full(3, 1e6), 0, params, rng, np.zeros(3, dtype=bool))
+        assert not split.any()
+        assert rng.random() == np.random.default_rng(4).random()
+
+
+class TestGrowLevels:
+    def record(self, n_items, fanout, decide_fn, code_fn):
+        calls = []
+
+        def decide(depth, sizes, items):
+            calls.append(("decide", depth, sizes.tolist(), items.tolist()))
+            return decide_fn(depth, sizes)
+
+        def child_codes(depth, items, parent):
+            calls.append(("codes", depth, items.tolist(), parent.tolist()))
+            return code_fn(depth, items)
+
+        grow_levels(n_items, fanout, decide, child_codes)
+        return calls
+
+    def test_items_regroup_by_parent_rank_then_code(self):
+        # level 0 splits items by parity; at level 1 only the odd node splits,
+        # by whether the item is below 5
+        splits = {0: [True], 1: [False, True], 2: [False, False]}
+        calls = self.record(
+            8,
+            2,
+            lambda depth, sizes: splits[depth],
+            lambda depth, items: items % 2 if depth == 0 else (items >= 5).astype(int),
+        )
+        assert calls == [
+            ("decide", 0, [8], [0, 1, 2, 3, 4, 5, 6, 7]),
+            ("codes", 0, [0, 1, 2, 3, 4, 5, 6, 7], [0] * 8),
+            ("decide", 1, [4, 4], [0, 2, 4, 6, 1, 3, 5, 7]),
+            ("codes", 1, [1, 3, 5, 7], [0, 0, 0, 0]),
+            ("decide", 2, [2, 2], [1, 3, 5, 7]),
+        ]
+
+    def test_empty_dataset(self):
+        calls = self.record(
+            0, 4, lambda depth, sizes: np.full(sizes.size, depth < 2), lambda d, items: items
+        )
+        assert [c[:3] for c in calls if c[0] == "decide"] == [
+            ("decide", 0, [0]),
+            ("decide", 1, [0] * 4),
+            ("decide", 2, [0] * 16),
+        ]
+        assert all(c[2] == [] for c in calls if c[0] == "codes")
+
+    def test_level_where_no_node_splits_ends_the_walk(self):
+        calls = self.record(5, 2, lambda depth, sizes: [False], lambda d, items: items)
+        assert calls == [("decide", 0, [5], [0, 1, 2, 3, 4])]

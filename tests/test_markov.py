@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dphier import markov
+from dphier.dp_core import sample_laplace
 from dphier.errors import GenerationError, InputDataError, ParameterError
 from dphier.markov import (
     Alphabet,
@@ -24,6 +25,8 @@ from dphier.markov import (
     top_k_strings,
     truncate_sequences,
 )
+
+from conftest import assert_same_release
 
 
 # ---------------------------------------------------------------------------
@@ -673,3 +676,91 @@ class TestSerialization:
         root = next(e for e in doc["nodes"] if e["predictor"] == [])
         assert set(root["children"]) == {START_TOKEN, "A", "B"}
         assert set(root["hist"]) == {END_TOKEN, "A", "B"}
+
+
+# ---------------------------------------------------------------------------
+# noise-draw order: a per-node reference builder
+# ---------------------------------------------------------------------------
+
+
+def reference_pst_nodes(data, params, eps_hist, rng):
+    """Per-node BFS build: one scalar split draw per unblocked node in BFS
+    order, then one histogram draw per leaf in id order."""
+    width = data.alphabet.size + 2
+    positions = []  # (context, next symbol)
+    for seq, is_open in zip(data.sequences, data.open_ended):
+        emitted = list(seq) + ([] if is_open else [END_ID])
+        positions += [((START_ID,) + seq[:i], sym) for i, sym in enumerate(emitted)]
+    nodes = [PstNode(id=0, predictor=())]
+    for node in nodes:  # the list grows while iterated: BFS order
+        node.hist = np.zeros(width)
+        for ctx, sym in positions:
+            if ctx[len(ctx) - node.depth:] == node.predictor:
+                node.hist[sym] += 1
+        if node.predictor[:1] == (START_ID,):
+            continue
+        score = node.hist.sum() - node.hist.max()
+        b = max(params.theta - params.delta, score - node.depth * params.delta)
+        if b + sample_laplace(params.lam, rng) > params.theta:
+            for sym in (START_ID, *data.alphabet.symbol_ids):
+                node.children[sym] = len(nodes)
+                nodes.append(PstNode(id=len(nodes), predictor=(sym,) + node.predictor))
+    for node in nodes:
+        if node.is_leaf:
+            node.hist[1:] += sample_laplace(data.l_max / eps_hist, rng, size=width - 1)
+    for node in reversed(nodes):
+        if not node.is_leaf:
+            node.hist = sum(nodes[c].hist for c in node.children.values())
+    for node in nodes:
+        np.maximum(node.hist, 0.0, out=node.hist)
+    return nodes
+
+
+class TestNoiseDrawOrder:
+    @pytest.mark.parametrize("epsilon", [1.0, 4.0])
+    def test_build_matches_per_node_reference(self, epsilon):
+        rng = np.random.default_rng(30)
+        raw = [list(rng.choice(list("abc"), size=rng.integers(1, 11))) for _ in range(400)]
+        data = truncate_sequences(raw, 8)
+        pst = build_private_pst(data, epsilon, np.random.default_rng(8))
+        beta = data.alphabet.fanout
+        eps_hist = epsilon - epsilon * (1.0 / beta)
+        nodes = reference_pst_nodes(data, pst.params, eps_hist, np.random.default_rng(8))
+        ref = Pst(
+            nodes=nodes, alphabet=data.alphabet, l_max=data.l_max, params_info=pst.params_info
+        )
+        assert len(nodes) > 1 + beta
+        assert_same_release(pst, ref)
+
+
+# ---------------------------------------------------------------------------
+# document validation on load
+# ---------------------------------------------------------------------------
+
+
+class TestLoadValidation:
+    def test_cyclic_document_rejected(self, tmp_path):
+        params = {"epsilon": None, "lambda": None, "theta": None, "delta": None}
+        doc = {
+            "alphabet": ["A"],
+            "l_max": 4,
+            "params": params,
+            "nodes": [
+                {"id": 0, "predictor": [], "children": {"A": 1}},
+                {"id": 1, "predictor": ["A"], "children": {"A": 0}},
+            ],
+        }
+        with pytest.raises(InputDataError, match="root node 0 is listed as a child"):
+            markov.pst_from_json_dict(doc)
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputDataError):
+            markov.load_pst(path)
+
+    def test_child_must_extend_parent_predictor(self, worked_example_data):
+        doc = build_private_pst(worked_example_data, 1.0, noiseless=True).to_json_dict()
+        root = next(e for e in doc["nodes"] if e["predictor"] == [])
+        child = doc["nodes"][root["children"]["A"]]
+        child["predictor"] = ["B"]
+        with pytest.raises(InputDataError, match="not one level below its parent"):
+            markov.pst_from_json_dict(doc)

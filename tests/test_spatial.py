@@ -25,7 +25,7 @@ from dphier.spatial import (
     trees_equal,
 )
 
-from conftest import random_dataset
+from conftest import assert_same_release, random_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -696,3 +696,145 @@ class TestFileFormats:
             SpatialDataset(
                 SpatialDomain((0.0,), (1.0,)), np.array([[1.0]])
             )  # upper face is exclusive for data points
+
+
+# ---------------------------------------------------------------------------
+# noise-draw order: a per-node reference builder
+# ---------------------------------------------------------------------------
+
+
+def reference_tree(data, dims_per_level, rule):
+    """Per-node BFS build: ``rule(count, depth) -> (split, noisy_count)`` is
+    called once per node in BFS order, so its scalar draws fix the order."""
+    d = data.domain.dims
+    nodes = [TreeNode(id=0, depth=0, lo=data.domain.lo, hi=data.domain.hi)]
+    members = [np.arange(data.n)]
+    for node in nodes:  # the list grows while iterated: BFS order
+        idx = members[node.id]
+        split, node.noisy_count = rule(idx.size, node.depth)
+        if not split:
+            continue
+        dims = sorted((node.depth * dims_per_level + j) % d for j in range(dims_per_level))
+        for clo, chi in oracle_children(node.lo, node.hi, dims):
+            pts = data.points[idx]
+            inside = ((pts >= clo) & (pts < chi)).all(axis=1)
+            node.children.append(len(nodes))
+            nodes.append(TreeNode(id=len(nodes), depth=node.depth + 1, lo=clo, hi=chi))
+            members.append(idx[inside])
+    return nodes
+
+
+def reference_attach(tree, data, epsilon_counts, rng):
+    """One scalar draw per leaf, in sorted-id order."""
+    for node in sorted(tree.leaves(), key=lambda v: v.id):
+        pts = data.points
+        c = int(((pts >= node.lo) & (pts < node.hi)).all(axis=1).sum())
+        node.noisy_count = c + sample_laplace(1.0 / epsilon_counts, rng)
+    return tree
+
+
+class TestNoiseDrawOrder:
+    @pytest.mark.parametrize("d, dims_per_level", [(2, 2), (4, 2)])
+    def test_privtree_and_counts_match_per_node_reference(self, d, dims_per_level):
+        data = random_dataset(np.random.default_rng(20 + d), n=3000, d=d)
+        params = privtree_params(1.0, 1 << dims_per_level, 0.0)
+        tree = build_privtree(
+            data, params, np.random.default_rng(1), dims_per_level=dims_per_level
+        )
+        rng = np.random.default_rng(1)
+
+        def rule(count, depth):
+            if depth >= spatial.DEFAULT_DEPTH_CAP:
+                return False, None
+            b = max(params.theta - params.delta, count - depth * params.delta)
+            return b + sample_laplace(params.lam, rng) > params.theta, None
+
+        ref = DecompTree(
+            nodes=reference_tree(data, dims_per_level, rule),
+            fanout=tree.fanout,
+            params_info=tree.params_info,
+        )
+        assert len(ref.nodes) > 20
+        assert_same_release(tree, ref)
+        attach_noisy_counts(tree, data, 0.5, np.random.default_rng(2))
+        reference_attach(ref, data, 0.5, np.random.default_rng(2))
+        assert_same_release(tree, ref)
+
+    def test_simple_tree_matches_per_node_reference(self):
+        data = random_dataset(np.random.default_rng(23), n=3000)
+        tree = build_simple_tree(data, 4.0, 20.0, 6, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+
+        def rule(count, depth):
+            c_hat = count + sample_laplace(4.0, rng)
+            return c_hat > 20.0 and depth < 5, c_hat
+
+        ref = DecompTree(
+            nodes=reference_tree(data, 2, rule), fanout=4, params_info=tree.params_info
+        )
+        assert len(ref.nodes) > 20
+        assert_same_release(tree, ref)
+
+    def test_depth_cap_zero_is_a_bare_root_without_draws(self, uniform_4096):
+        params = privtree_params(1.0, 4, 0.0)
+        rng = np.random.default_rng(6)
+        tree = build_privtree(uniform_4096, params, rng, depth_cap=0)
+        assert len(tree.nodes) == 1
+        assert rng.random() == np.random.default_rng(6).random()
+
+
+# ---------------------------------------------------------------------------
+# document validation on load
+# ---------------------------------------------------------------------------
+
+
+def cyclic_tree_doc():
+    """Two nodes whose child links form a cycle through the root."""
+    params = {"epsilon": None, "lambda": None, "theta": None, "delta": None}
+    return {
+        "fanout": 2,
+        "params": params,
+        "nodes": [
+            {"id": 0, "depth": 0, "lo": [0.0], "hi": [1.0], "children": [1]},
+            {"id": 1, "depth": 1, "lo": [0.0], "hi": [0.5], "children": [0],
+             "noisy_count": 1.0},
+        ],
+    }
+
+
+def _redirect_child(doc):
+    doc["nodes"][1]["children"] = [2]
+
+
+def _drop_child(doc):
+    doc["nodes"][0]["children"] = doc["nodes"][0]["children"][:-1]
+
+
+def _bad_depth(doc):
+    doc["nodes"][1]["depth"] = 2
+
+
+class TestLoadValidation:
+    def test_cyclic_document_rejected(self, tmp_path):
+        with pytest.raises(InputDataError, match="root node 0 is listed as a child"):
+            spatial.tree_from_json_dict(cyclic_tree_doc())
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(cyclic_tree_doc()))
+        with pytest.raises(InputDataError):
+            spatial.load_tree(path)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (_redirect_child, "node 2 has two parents"),
+            (_drop_child, "node 4 is not reachable from the root"),
+            (_bad_depth, "node 1 is not one level below its parent 0"),
+        ],
+    )
+    def test_malformed_links_rejected(self, uniform_4096, mutate, message):
+        params = privtree_params(1.0, 4, 0.0)
+        doc = build_privtree(uniform_4096, params, noiseless=True, depth_cap=1).to_json_dict()
+        assert len(doc["nodes"]) == 5
+        mutate(doc)
+        with pytest.raises(InputDataError, match=message):
+            spatial.tree_from_json_dict(doc)
