@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import click
 import numpy as np
@@ -207,7 +208,7 @@ def cmd_range_query(**kw):
     tree = spatial.load_tree(kw["tree_path"])
     queries = spatial.load_workload_csv(kw["workload_path"], tree.dims)
     if kw["data_path"] is None:
-        answers = [spatial.range_count(tree, q) for q in queries]
+        answers = spatial.range_counts(tree, queries).tolist()
         doc = {"count": len(answers), "answers": answers}
         if kw["fmt"] == "table":
             lines = [f"{'#':>6}  {'estimate':>14}", "-" * 22]
@@ -220,7 +221,7 @@ def cmd_range_query(**kw):
     root = tree.node(tree.root)
     data = spatial.SpatialDataset(spatial.SpatialDomain(root.lo, root.hi), points)
     report = evalbench.evaluate_queries(
-        tree, data, queries, delta=kw["delta"], label=kw["tree_path"]
+        tree, data, queries, delta=kw["delta"], label=Path(kw["tree_path"]).name
     )
     if kw["fmt"] == "table":
         _write_text(kw["output_path"], report.to_text_table())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDataError, ParameterError
-from .spatial import DecompTree, RangeQuery, SpatialDataset, SpatialDomain, range_count
+from .spatial import DecompTree, RangeQuery, SpatialDataset, SpatialDomain, range_counts
 
 __all__ = [
     "EvalReport",
@@ -224,11 +224,12 @@ def evaluate_queries(
     """Score a released tree against ground truth on a workload."""
     if delta is None:
         delta = max(1e-12, 0.001 * data.n)
+    if not delta > 0:
+        raise ParameterError(f"delta must be positive, got {delta!r}")
     exacts = exact_range_counts(data, queries)
-    estimates = np.array([range_count(tree, q) for q in queries])
-    rel = np.array(
-        [relative_error(a, b, delta) for a, b in zip(estimates, exacts)]
-    )
+    estimates = range_counts(tree, queries)
+    # the arithmetic of relative_error, one query per element
+    rel = np.abs(estimates - exacts) / np.maximum(exacts, delta)
     return EvalReport(
         estimates=estimates, exacts=exacts, rel_errors=rel, delta=delta, label=label
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "load_workload_csv",
     "privtree_split_probabilities",
     "range_count",
+    "range_counts",
     "shape_probability",
     "simulate_privtree_shapes",
     "tree_from_json_dict",
@@ -166,7 +168,7 @@ class DecompTree:
     params: PrivacyParams | None = None
     params_info: dict = field(default_factory=dict)
     root: int = 0
-    _sums: dict | None = field(default=None, repr=False, compare=False)
+    _arrays: _TreeArrays | None = field(default=None, repr=False, compare=False)
     _grid: dict | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -180,7 +182,7 @@ class DecompTree:
         return [v for v in self.nodes if v.is_leaf]
 
     def invalidate_caches(self) -> None:
-        self._sums = None
+        self._arrays = None
 
     def to_json_dict(self) -> dict:
         """Serializable release form; refuses to leak exact counts."""
@@ -524,43 +526,156 @@ def attach_noisy_counts(
 # ---------------------------------------------------------------------------
 
 
-def _subtree_sums(tree: DecompTree) -> dict:
-    if tree._sums is not None:
-        return tree._sums
-    sums = {}
-    # iterative post-order; loaded trees may order ids arbitrarily
-    stack = [(tree.root, False)]
-    while stack:
-        nid, expanded = stack.pop()
-        node = tree.node(nid)
-        if node.is_leaf:
-            if node.noisy_count is None:
-                raise InputDataError(
-                    "tree has no noisy counts attached; run attach_noisy_counts first"
-                )
-            sums[nid] = float(node.noisy_count)
-        elif expanded:
-            sums[nid] = float(sum(sums[c] for c in node.children))
-        else:
-            stack.append((nid, True))
-            stack.extend((c, False) for c in node.children)
-    tree._sums = sums
+@dataclass(frozen=True)
+class _TreeArrays:
+    """Array view of a tree with counts attached, read by :func:`range_counts`.
+
+    Column ``i`` of ``table`` ((5d + 1) x N) describes node ``i``, so one
+    ``take`` fetches a whole frontier.  Its rows are ``lo`` (d rows), the
+    negated ``hi`` (d), ``lo - hi`` (d), the count the node answers when a
+    query contains it (its own noisy count, or the sum of its leaves' counts
+    when it carries none), and the box ``[lo, -hi]`` again for internal
+    nodes but ``+inf`` for leaves (2d), against which a query can never cut
+    a leaf.  The children of node ``i`` are ``kids[first[i]:first[i + 1]]``
+    in stored order, and ``fanout`` is their number when every internal node
+    has the same number (else 0)."""
+
+    table: np.ndarray
+    first: np.ndarray
+    kids: np.ndarray
+    fanout: int
+
+
+def _child_table(nodes: list):
+    """(first, kids, fanout) of :class:`_TreeArrays`."""
+    n_kids = np.fromiter((len(v.children) for v in nodes), np.int64, len(nodes))
+    first = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(n_kids, out=first[1:])
+    kids = np.fromiter(
+        (c for v in nodes for c in v.children), np.int64, int(first[-1])
+    )
+    sizes = np.unique(n_kids[n_kids > 0])
+    return first, kids, int(sizes[0]) if sizes.size == 1 else 0
+
+
+def _children(first, kids, fanout, parents):
+    """Children of the internal nodes ``parents`` (repeats allowed) as one
+    array, each parent's block in stored order, and the block lengths."""
+    if fanout:
+        rows = first.take(parents) // fanout
+        return kids.reshape(-1, fanout).take(rows, axis=0).ravel(), fanout
+    k = first[parents + 1] - first[parents]
+    offsets = np.repeat(first[parents] - (np.cumsum(k) - k), k)
+    return kids[offsets + np.arange(offsets.size)], k
+
+
+def _fold(values, k):
+    """Sum each of the consecutive blocks of ``values`` with lengths ``k``
+    by adding its entries one at a time, in order, starting from 0.0: the
+    arithmetic of ``sum(block)``, so results are bit-identical to it."""
+    if isinstance(k, int):
+        # accumulate adds strictly left to right; it starts from the first
+        # entry, not 0.0, which only turns sum()'s +0.0 into -0.0, and the
+        # trailing + 0.0 turns it back
+        return np.add.accumulate(values.reshape(-1, k), axis=1)[:, -1] + 0.0
+    out = np.zeros(k.size)
+    starts = np.cumsum(k) - k
+    for s in range(int(k.max(initial=0))):
+        rows = np.flatnonzero(k > s)
+        out[rows] += values[starts[rows] + s]
+    return out
+
+
+def _subtree_sums(tree: DecompTree) -> np.ndarray:
+    """Sum of the leaves' noisy counts under every node, indexed by node id;
+    an internal node adds its children one at a time, in stored order."""
+    if any(v.is_leaf and v.noisy_count is None for v in tree.nodes):
+        raise InputDataError(
+            "tree has no noisy counts attached; run attach_noisy_counts first"
+        )
+    first, kids, fanout = _child_table(tree.nodes)
+    sums = np.array(
+        [0.0 if v.noisy_count is None else v.noisy_count for v in tree.nodes]
+    )
+    levels = []
+    level = np.array([tree.root])
+    while level.size:
+        inner = level[first[level + 1] > first[level]]
+        level, k = _children(first, kids, fanout, inner)
+        levels.append((inner, level, k))
+    for inner, children, k in reversed(levels):
+        sums[inner] = _fold(sums[children], k)
     return sums
 
 
-def _overlap(node_lo, node_hi, q_lo, q_hi):
-    """Returns (relation, fraction) where relation is -1 disjoint, 1 contained,
-    0 partial, and fraction is |q ∩ region| / |region| for partial/contained."""
-    frac = 1.0
-    contained = True
-    for a, b, qa, qb in zip(node_lo, node_hi, q_lo, q_hi):
-        oa, ob = max(a, qa), min(b, qb)
-        if oa >= ob:
-            return -1, 0.0
-        frac *= (ob - oa) / (b - a)
-        if qa > a or qb < b:
-            contained = False
-    return (1, 1.0) if contained else (0, frac)
+def _tree_arrays(tree: DecompTree) -> _TreeArrays:
+    """The tree's cached array view, built on first use after counts are
+    attached (:func:`attach_noisy_counts` drops it)."""
+    if tree._arrays is None:
+        lo = np.array([v.lo for v in tree.nodes], dtype=np.float64).T
+        hi = np.array([v.hi for v in tree.nodes], dtype=np.float64).T
+        neg_width = lo - hi
+        if not np.isfinite(neg_width).all():
+            raise InputDataError("every region must have a finite width")
+        count = _subtree_sums(tree)
+        own = [
+            i for i, v in enumerate(tree.nodes) if v.children and v.noisy_count is not None
+        ]
+        count[own] = [tree.nodes[i].noisy_count for i in own]
+        first, kids, fanout = _child_table(tree.nodes)
+        box = np.vstack([lo, -hi])
+        inner_box = np.where(first[1:] > first[:-1], box, np.inf)
+        # take() copies a non-contiguous source on every call
+        table = np.ascontiguousarray(np.vstack([box, neg_width, count, inner_box]))
+        tree._arrays = _TreeArrays(table, first, kids, fanout)
+    return tree._arrays
+
+
+# (query, node) pairs that one block of queries may create across its levels
+# before range_counts splits the block; a single query is never split.
+_PAIR_BUDGET = 1 << 16
+
+
+def _answer_block(view: _TreeArrays, qbox, root: int, budget):
+    """Answers of the queries ``qbox`` (2d x Q: lower bounds stacked on
+    negated upper bounds) by a level-synchronous walk, or None once more
+    than ``budget`` (query, node) pairs exist.
+
+    Per pair, as in the scalar walk: disjoint adds 0, contained adds the
+    node's count, a partially covered leaf adds its count times the covered
+    volume fraction (a product over dimensions in order), and a partially
+    covered internal node is replaced by the sum of its children's answers,
+    folded bottom-up in stored child order.  Negating the upper bounds lets
+    one ``maximum`` clip both faces and one ``>`` find where the query cuts
+    the region.  Negation is exact, so every overlap, fraction and
+    comparison equals its scalar counterpart bit for bit; a contained
+    region's fraction is exactly 1, since its overlap is its width."""
+    d = qbox.shape[0] // 2
+    query, ni = qbox, np.full(qbox.shape[1], root)
+    held = ni.size
+    levels = []
+    while ni.size:
+        node = view.table.take(ni, axis=1)
+        clip = np.maximum(node[: 2 * d], query)  # max(lo, qlo) over -min(hi, qhi)
+        neg_overlap = clip[:d] + clip[d:]
+        hit = np.maximum.reduce(neg_overlap, axis=0) < 0
+        frac = np.multiply.reduce(neg_overlap / node[2 * d : 3 * d], axis=0)
+        value = np.where(hit, node[3 * d] * frac, 0.0)
+        cut = np.logical_or.reduce(query > node[3 * d + 1 :], axis=0)
+        partial = (hit & cut).nonzero()[0]
+        parents = ni.take(partial)
+        if budget is not None:
+            held += int((view.first[parents + 1] - view.first[parents]).sum())
+            if held > budget:
+                return None
+        ni, k = _children(view.first, view.kids, view.fanout, parents)
+        query = np.repeat(query.take(partial, axis=1), k, axis=1)
+        levels.append((value, partial, k))
+    below = np.empty(0)
+    for value, partial, k in reversed(levels):
+        value[partial] = _fold(below, k)
+        below = value
+    return below
 
 
 def _grid_range_count(tree: DecompTree, q: RangeQuery) -> float:
@@ -576,37 +691,50 @@ def _grid_range_count(tree: DecompTree, q: RangeQuery) -> float:
     return float(res)
 
 
-def range_count(tree: DecompTree, q: RangeQuery) -> float:
-    """Estimate the number of points in the query box from the released tree.
+def range_counts(tree: DecompTree, queries) -> np.ndarray:
+    """Estimate the number of points in each query box from the released tree.
 
-    Top-down traversal: disjoint regions are skipped, contained regions add
-    their (derived) count, partially covered leaves contribute their noisy
-    count scaled by the volume fraction of the overlap.  Queries reaching
-    outside the domain are effectively clipped to it.
+    Top-down traversal, one level at a time for the whole workload: disjoint
+    regions are skipped, contained regions add their (derived) count,
+    partially covered leaves contribute their noisy count scaled by the
+    volume fraction of the overlap.  Queries reaching outside the domain are
+    effectively clipped to it.  Uniform grids answer each query with one
+    separable contraction instead.  Returns one float64 estimate per
+    :class:`RangeQuery` in ``queries``, in order.
     """
-    if q.dims != tree.dims:
-        raise InputDataError(
-            f"query dimensionality {q.dims} does not match tree ({tree.dims})"
-        )
+    queries = list(queries)
+    for q in queries:
+        if q.dims != tree.dims:
+            raise InputDataError(
+                f"query dimensionality {q.dims} does not match tree ({tree.dims})"
+            )
     if tree._grid is not None:
-        return _grid_range_count(tree, q)
-    sums = _subtree_sums(tree)
+        return np.array([_grid_range_count(tree, q) for q in queries], dtype=np.float64)
+    out = np.empty(len(queries))
+    if not queries:
+        return out
+    view = _tree_arrays(tree)
+    qbox = np.array([q.lo + q.hi for q in queries]).T
+    qbox[tree.dims :] *= -1.0
+    start, block = 0, len(queries)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while start < len(queries):
+            stop = min(start + block, len(queries))
+            got = _answer_block(
+                view, np.ascontiguousarray(qbox[:, start:stop]), tree.root,
+                _PAIR_BUDGET if stop - start > 1 else None,
+            )
+            if got is None:
+                block = (stop - start + 1) // 2
+                continue
+            out[start:stop] = got
+            start = stop
+    return out
 
-    def node_count(node):
-        return node.noisy_count if node.noisy_count is not None else sums[node.id]
 
-    def rec(nid):
-        node = tree.node(nid)
-        rel, frac = _overlap(node.lo, node.hi, q.lo, q.hi)
-        if rel == -1:
-            return 0.0
-        if rel == 1:
-            return node_count(node)
-        if node.is_leaf:
-            return node_count(node) * frac
-        return sum(rec(c) for c in node.children)
-
-    return float(rec(tree.root))
+def range_count(tree: DecompTree, q: RangeQuery) -> float:
+    """Estimate for one query box; see :func:`range_counts`."""
+    return float(range_counts(tree, [q])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +750,7 @@ def tree_from_json_dict(doc: dict) -> DecompTree:
     except (KeyError, TypeError) as exc:
         raise InputDataError(f"malformed tree document: {exc}") from exc
     nodes = [None] * len(raw_nodes)
-    root = None
+    root = dims = None
     for entry in raw_nodes:
         node = TreeNode(
             id=int(entry["id"]),
@@ -636,6 +764,14 @@ def tree_from_json_dict(doc: dict) -> DecompTree:
         )
         if not 0 <= node.id < len(raw_nodes) or nodes[node.id] is not None:
             raise InputDataError(f"bad or duplicate node id {node.id}")
+        dims = len(node.lo) if dims is None else dims
+        if not dims or len(node.lo) != dims or len(node.hi) != dims:
+            raise InputDataError(
+                f"node {node.id}: lo and hi must have as many entries as in every node"
+            )
+        values = node.lo + node.hi + (() if node.noisy_count is None else (node.noisy_count,))
+        if not all(map(math.isfinite, values)):
+            raise InputDataError(f"node {node.id}: lo, hi and noisy_count must be finite")
         if any(not 0 <= c < len(raw_nodes) for c in node.children):
             raise InputDataError(f"node {node.id} references an unknown child id")
         nodes[node.id] = node
@@ -727,21 +863,39 @@ def _parse_csv_floats(path, expected_fields=None):
     return rows
 
 
+def _read_csv_floats(path, expected_fields=None) -> np.ndarray:
+    """Rows of comma-separated floats as an (n, k) array, (0, 0) when empty.
+
+    One ``np.loadtxt`` call reads well-formed files.  It accepts no input
+    that :func:`_parse_csv_floats` rejects and parses every field it accepts
+    with the same conversion as ``float()``; whatever it cannot read
+    (comments, whitespace-only lines, ``1_0``, ragged rows, a wrong width,
+    no rows) goes to that line parser, which defines the grammar and reports
+    errors by line number."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file only warns
+            arr = np.loadtxt(
+                path, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
+                encoding="utf-8",
+            )
+        if arr.shape[0] and expected_fields in (None, arr.shape[1]):
+            return arr
+    except (OSError, ValueError, Warning):
+        pass
+    rows = _parse_csv_floats(path, expected_fields)
+    return np.asarray(rows, dtype=np.float64) if rows else np.empty((0, 0))
+
+
 def load_points_csv(path) -> np.ndarray:
     """Read one point per line, comma-separated decimals; '#' lines ignored."""
-    rows = _parse_csv_floats(path)
-    if not rows:
-        return np.empty((0, 0))
-    return np.asarray(rows, dtype=np.float64)
+    return _read_csv_floats(path)
 
 
 def load_workload_csv(path, dims: int):
     """Read queries as lines ``lo1,...,lod,hi1,...,hid``."""
-    rows = _parse_csv_floats(path, expected_fields=2 * dims)
-    queries = []
-    for row in rows:
-        queries.append(RangeQuery(lo=tuple(row[:dims]), hi=tuple(row[dims:])))
-    return queries
+    rows = _read_csv_floats(path, expected_fields=2 * dims).tolist()
+    return [RangeQuery(lo=tuple(row[:dims]), hi=tuple(row[dims:])) for row in rows]
 
 
 # ---------------------------------------------------------------------------

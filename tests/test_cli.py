@@ -191,6 +191,46 @@ class TestRangeQuery:
         assert all(q["rel_error"] >= 0 for q in doc["queries"])
 
 
+    def test_report_label_is_the_tree_file_name(self, runner, tmp_path, points_csv):
+        _, tree = build_tree(runner, tmp_path, points_csv)
+        wl = tmp_path / "wl.csv"
+        wl.write_text("0,0,1,1\n0.2,0.2,0.5,0.6\n")
+        reports = []
+        for name in ("one", "two"):
+            copy = tmp_path / name / "tree.json"
+            copy.parent.mkdir()
+            copy.write_bytes(tree.read_bytes())
+            out = tmp_path / name / "report.json"
+            res = runner.invoke(
+                main,
+                [
+                    "range-query",
+                    "--tree", str(copy),
+                    "--workload", str(wl),
+                    "--data", str(points_csv),
+                    "--output", str(out),
+                ],
+            )
+            assert res.exit_code == 0, res.output
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["label"] == "tree.json"
+
+    def test_nonfinite_tree_is_input_error(self, runner, tmp_path, points_csv):
+        _, tree = build_tree(runner, tmp_path, points_csv)
+        doc = json.loads(tree.read_text())
+        leaf = next(v for v in doc["nodes"] if not v["children"])
+        leaf["noisy_count"] = float("nan")
+        tree.write_text(json.dumps(doc))
+        wl = tmp_path / "wl.csv"
+        wl.write_text("0,0,1,1\n")
+        res = runner.invoke(
+            main, ["range-query", "--tree", str(tree), "--workload", str(wl)]
+        )
+        assert res.exit_code == 2
+        assert "must be finite" in res.output
+
+
 class TestSequenceCommands:
     def build_pst(self, runner, tmp_path, sequences_txt, *extra):
         out = tmp_path / "pst.json"

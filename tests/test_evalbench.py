@@ -152,6 +152,28 @@ class TestEvalReport:
         table = report.to_text_table(max_rows=5)
         assert "median RE" in table and "more rows" in table
 
+    def test_relative_errors_match_scalar_relative_error(self, uniform_4096):
+        params = privtree_params(1.0, 4, 0.0)
+        tree = spatial.build_privtree(uniform_4096, params, np.random.default_rng(3))
+        spatial.attach_noisy_counts(tree, uniform_4096, 0.5, np.random.default_rng(4))
+        queries = gen_workload(
+            uniform_4096.domain, WorkloadSpec("small", count=200, seed=12)
+        )
+        for delta in (None, 0.5, 40.0):
+            report = evaluate_queries(tree, uniform_4096, queries, delta=delta)
+            want = np.array(
+                [relative_error(a, b, report.delta)
+                 for a, b in zip(report.estimates, report.exacts)]
+            )
+            assert np.array_equal(report.rel_errors.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+    def test_bad_delta_rejected_even_for_an_empty_workload(self, uniform_4096, delta):
+        tree = spatial.build_privtree(uniform_4096, privtree_params(1.0, 4, 0.0), noiseless=True)
+        spatial.attach_noisy_counts(tree, uniform_4096, 0.5, noiseless=True)
+        with pytest.raises(ParameterError):
+            evaluate_queries(tree, uniform_4096, [], delta=delta)
+
     def test_negative_rel_errors_rejected(self):
         with pytest.raises(ParameterError):
             EvalReport(

@@ -1,6 +1,9 @@
+import functools
 import itertools
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -646,6 +649,180 @@ class TestRangeCountProperties:
 
 
 # ---------------------------------------------------------------------------
+# batched range counts against the scalar walk
+# ---------------------------------------------------------------------------
+
+
+def reference_range_count(tree, q):
+    """The scalar recursive walk that answered one query at a time before
+    range_counts batched it.  Children are added with an explicit loop from
+    0.0, which is what ``sum()`` did for floats before Python 3.12."""
+    sums = {}
+
+    def subtree_sum(node):
+        if node.id not in sums:
+            if node.is_leaf:
+                if node.noisy_count is None:
+                    raise InputDataError("no noisy counts attached")
+                sums[node.id] = float(node.noisy_count)
+            else:
+                total = 0.0
+                for c in node.children:
+                    total += subtree_sum(tree.node(c))
+                sums[node.id] = total
+        return sums[node.id]
+
+    def node_count(node):
+        return node.noisy_count if node.noisy_count is not None else subtree_sum(node)
+
+    def rec(nid):
+        node = tree.node(nid)
+        frac, contained = 1.0, True
+        for a, b, qa, qb in zip(node.lo, node.hi, q.lo, q.hi):
+            oa, ob = max(a, qa), min(b, qb)
+            if oa >= ob:
+                return 0.0
+            frac *= (ob - oa) / (b - a)
+            if qa > a or qb < b:
+                contained = False
+        if contained:
+            return node_count(node)
+        if node.is_leaf:
+            return node_count(node) * frac
+        total = 0.0
+        for c in node.children:
+            total += rec(c)
+        return total
+
+    return float(rec(tree.root))
+
+
+def mixed_fanout_tree():
+    """Hand-made unit-square tree whose internal nodes have 4, 2 and 4
+    children, so traversal cannot assume one fanout."""
+    nodes = [TreeNode(id=0, depth=0, lo=(0.0, 0.0), hi=(1.0, 1.0))]
+
+    def split(parent, regions):
+        for lo, hi in regions:
+            parent.children.append(len(nodes))
+            nodes.append(TreeNode(id=len(nodes), depth=parent.depth + 1, lo=lo, hi=hi))
+
+    split(nodes[0], oracle_children((0.0, 0.0), (1.0, 1.0), (0, 1)))
+    split(nodes[1], oracle_children(nodes[1].lo, nodes[1].hi, (0,)))
+    split(nodes[4], oracle_children(nodes[4].lo, nodes[4].hi, (0, 1)))
+    counts = np.random.default_rng(8).normal(10.0, 4.0, size=len(nodes))
+    for node, c in zip(nodes, counts.tolist()):
+        if node.is_leaf:
+            node.noisy_count = c
+    return DecompTree(nodes=nodes, fanout=4)
+
+
+def _walk_tree(kind):
+    if kind == "mixed-fanout":
+        return mixed_fanout_tree()
+    d, dims_per_level = (4, 2) if kind == "privtree-4d" else (2, 2)
+    data = random_dataset(np.random.default_rng(31), n=3000, d=d)
+    rng = np.random.default_rng(32)
+    if kind == "simple":
+        return build_simple_tree(data, 4.0, 5.0, 6, rng)
+    if kind == "grid":
+        grid = build_ug(data, 0.5, rng)
+        tree = spatial.tree_from_json_dict(json.loads(grid.dumps()))
+        tree._grid = None  # force node-by-node traversal
+        return tree
+    params = privtree_params(1.0, 1 << dims_per_level, 0.0)
+    tree = build_privtree(data, params, rng, dims_per_level=dims_per_level)
+    return attach_noisy_counts(tree, data, 0.5, rng)
+
+
+_WALK_KINDS = ("privtree-2d", "privtree-4d", "simple", "grid", "mixed-fanout")
+walk_tree = functools.cache(_walk_tree)
+
+
+# coordinates that land inside, outside and exactly on region faces
+edge = st.one_of(
+    st.floats(-0.5, 1.5, allow_nan=False),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.0 / 3.0, -1.0, 2.0, 1e-20, -math.inf, math.inf]),
+)
+
+
+@st.composite
+def query_boxes(draw, d):
+    kind = draw(st.sampled_from(["random", "zero-width", "whole", "outside"]))
+    if kind == "whole":
+        return RangeQuery((0.0,) * d, (1.0,) * d)
+    if kind == "outside":
+        return RangeQuery((2.0,) * d, (3.0,) * d)
+    lo, hi = [], []
+    for _ in range(d):
+        a, b = sorted((draw(edge), draw(edge)))
+        if kind == "zero-width":
+            b = a
+        lo.append(a)
+        hi.append(b)
+    return RangeQuery(tuple(lo), tuple(hi))
+
+
+def same_bits(got, want):
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64)
+    )
+
+
+class TestRangeCounts:
+    @pytest.mark.parametrize("kind", _WALK_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_scalar_walk(self, kind, data):
+        tree = walk_tree(kind)
+        queries = data.draw(st.lists(query_boxes(tree.dims), max_size=25))
+        want = [reference_range_count(tree, q) for q in queries]
+        assert same_bits(spatial.range_counts(tree, queries), want)
+        if queries:
+            assert same_bits(range_count(tree, queries[0]), want[0])
+
+    @pytest.mark.parametrize("kind", _WALK_KINDS)
+    def test_blocks_split_under_a_small_pair_budget(self, kind, monkeypatch):
+        tree = walk_tree(kind)
+        rng = np.random.default_rng(5)
+        lo = rng.random((300, tree.dims)) * 0.8
+        queries = [RangeQuery(tuple(a), tuple(a + 0.2)) for a in lo]
+        whole = spatial.range_counts(tree, queries)
+        monkeypatch.setattr(spatial, "_PAIR_BUDGET", 40)
+        assert same_bits(spatial.range_counts(tree, queries), whole)
+        assert same_bits(whole, [reference_range_count(tree, q) for q in queries])
+
+    def test_empty_workload(self):
+        got = spatial.range_counts(walk_tree("privtree-2d"), [])
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    @pytest.mark.parametrize("kind", ["privtree-2d", "privtree-4d"])
+    def test_dimension_mismatch(self, kind):
+        tree = walk_tree(kind)
+        wrong = RangeQuery((0.0,) * (tree.dims + 1), (1.0,) * (tree.dims + 1))
+        with pytest.raises(InputDataError):
+            spatial.range_counts(tree, [RangeQuery((0.0,) * tree.dims, (1.0,) * tree.dims), wrong])
+
+    def test_grid_fast_path_answers_every_query(self, unit_square):
+        rng = np.random.default_rng(2)
+        grid = build_ug(SpatialDataset(unit_square, rng.random((2000, 2))), 0.4, rng)
+        queries = [RangeQuery((0.1, 0.2), (0.6, 0.9)), RangeQuery((0.0, 0.0), (1.0, 1.0))]
+        assert same_bits(
+            spatial.range_counts(grid, queries), [range_count(grid, q) for q in queries]
+        )
+
+    def test_attach_drops_the_cached_view(self, uniform_4096):
+        tree = build_privtree(uniform_4096, privtree_params(1.0, 4, 0.0), noiseless=True)
+        attach_noisy_counts(tree, uniform_4096, 0.5, noiseless=True)
+        whole = RangeQuery(uniform_4096.domain.lo, uniform_4096.domain.hi)
+        assert range_count(tree, whole) == uniform_4096.n
+        attach_noisy_counts(tree, uniform_4096, 0.5, np.random.default_rng(1))
+        assert same_bits(range_count(tree, whole), reference_range_count(tree, whole))
+
+
+# ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
 
@@ -683,6 +860,34 @@ class TestFileFormats:
         with pytest.raises(InputDataError, match="line 1"):
             spatial.load_workload_csv(path, 2)
 
+    def test_nonfinite_values_rejected_on_load(self, uniform_4096, tmp_path):
+        params = privtree_params(1.0, 4, 0.0)
+        tree = build_privtree(uniform_4096, params, noiseless=True, depth_cap=1)
+        attach_noisy_counts(tree, uniform_4096, 0.5, noiseless=True)
+        for field, index, value in [
+            ("lo", 0, math.nan), ("hi", 1, math.inf), ("noisy_count", None, -math.inf),
+            ("noisy_count", None, math.nan),
+        ]:
+            doc = tree.to_json_dict()
+            entry = doc["nodes"][3]
+            if index is None:
+                entry[field] = value
+            else:
+                entry[field][index] = value
+            with pytest.raises(InputDataError, match="node 3: .* must be finite"):
+                spatial.tree_from_json_dict(doc)
+            path = tmp_path / "nonfinite.json"
+            path.write_text(json.dumps(doc))  # Python's json writes NaN/Infinity
+            with pytest.raises(InputDataError, match="must be finite"):
+                spatial.load_tree(path)
+
+    def test_ragged_regions_rejected_on_load(self, uniform_4096):
+        params = privtree_params(1.0, 4, 0.0)
+        doc = build_privtree(uniform_4096, params, noiseless=True, depth_cap=1).to_json_dict()
+        doc["nodes"][2]["hi"] = [1.0]
+        with pytest.raises(InputDataError, match="node 2: lo and hi"):
+            spatial.tree_from_json_dict(doc)
+
     def test_infer_domain_contains_points(self):
         rng = np.random.default_rng(5)
         pts = rng.random((100, 3)) * 10 - 5
@@ -696,6 +901,102 @@ class TestFileFormats:
             SpatialDataset(
                 SpatialDomain((0.0,), (1.0,)), np.array([[1.0]])
             )  # upper face is exclusive for data points
+
+
+def read_with_line_parser(path, expected_fields=None):
+    """What the readers returned when every file went through the line parser."""
+    try:
+        rows = spatial._parse_csv_floats(path, expected_fields)
+    except InputDataError as exc:
+        return str(exc)
+    return np.asarray(rows, dtype=np.float64) if rows else np.empty((0, 0))
+
+
+decimal_text = st.from_regex(
+    r"[+-]?([0-9]{1,20}(\.[0-9]{0,20})?|\.[0-9]{1,20})([eE][+-]?[0-9]{1,3})?",
+    fullmatch=True,
+)
+csv_field = st.one_of(
+    decimal_text,
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(
+        ["1_0", "", " ", "nan", "-inf", "Infinity", "1e400", "0x10", "abc", "2 # x", "#"]
+    ),
+)
+padding = st.sampled_from(["", " ", "  ", "\t", " \t "])
+
+
+@st.composite
+def csv_line(draw, width, clean):
+    kinds = ["row"] if clean else ["row", "row", "row", "ragged", "comment", "blank", "space"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "comment":
+        return "#" + draw(st.sampled_from(["", " x,y", "1,2"]))
+    if kind == "blank":
+        return ""
+    if kind == "space":
+        return draw(padding)
+    n = width if kind == "row" else draw(st.integers(1, width + 2))
+    field = decimal_text if clean else csv_field
+    fields = [draw(padding) + draw(field) + draw(padding) for _ in range(n)]
+    return ",".join(fields) + ("" if clean else draw(st.sampled_from(["", "", ",", " # note"])))
+
+
+@st.composite
+def csv_text(draw):
+    """CSV text that is either clean (numbers only) or mixes comments, blank
+    and whitespace-only lines, odd tokens, ragged rows and trailing junk."""
+    width = draw(st.integers(1, 4))
+    lines = draw(st.lists(csv_line(width, draw(st.booleans())), max_size=8))
+    return width, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+class TestCsvReaders:
+    @given(doc=csv_text())
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_or_same_error_as_line_parser(self, doc):
+        width, text = doc
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            path.write_bytes(text.encode("utf-8"))
+            want = read_with_line_parser(path)
+            try:
+                got = spatial.load_points_csv(path)
+            except InputDataError as exc:
+                got = str(exc)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert same_bits(got, want)
+
+            dims = max(1, width // 2)
+            want = read_with_line_parser(path, 2 * dims)
+            try:
+                got = spatial.load_workload_csv(path, dims)
+            except (InputDataError, ParameterError) as exc:
+                got = str(exc)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                try:
+                    rows = [RangeQuery(r[:dims], r[dims:]) for r in want.tolist()]
+                except ParameterError as exc:
+                    assert got == str(exc)
+                else:
+                    assert isinstance(got, list) and len(got) == len(rows)
+                    flat = [v for q in got for v in q.lo + q.hi]
+                    assert same_bits(flat, [v for q in rows for v in q.lo + q.hi])
+
+    def test_well_formed_file_skips_the_line_parser(self, tmp_path, monkeypatch):
+        path = tmp_path / "pts.csv"
+        path.write_text("0.1,0.2\n0.3,0.4\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("line parser used")
+
+        monkeypatch.setattr(spatial, "_parse_csv_floats", refuse)
+        assert spatial.load_points_csv(path).tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        assert spatial.load_workload_csv(path, 1)[1].hi == (0.4,)
 
 
 # ---------------------------------------------------------------------------
