@@ -332,7 +332,6 @@ _VARIANTS = ("all", "binary", "vanilla", "improved")
 @click.option("--k", type=int, default=16, show_default=True)
 @click.option("--lambda", "lam", type=float, default=2.0, show_default=True)
 @click.option("--theta", type=float, default=1.0, show_default=True)
-@click.option("--t", type=int, default=1, show_default=True)
 @click.option("--output", "output_path", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="json",
               show_default=True)
@@ -343,18 +342,12 @@ def cmd_svt_audit(**kw):
     """Exact probability-ratio audit of the threshold-mechanism variants."""
     kw = _apply_config(kw.pop("config_path"), kw)
     variant = str(kw["variant"]).lower()
-    if variant not in _VARIANTS:
-        raise ParameterError(
-            f"unknown variant {kw['variant']!r}; expected one of {_VARIANTS}"
-        )
-    if variant in ("all", "binary") and kw["k"] % 2:
-        raise ParameterError("k must be even for the binary scenario")
+    if variant != "vanilla" and kw["k"] % 2:
+        raise ParameterError("k must be even for the binary and improved scenarios")
     _check_jobs(kw["jobs"])
     rows = svt_audit.run_default_audit(
-        lam=kw["lam"], theta=kw["theta"], k=kw["k"], t=kw["t"], jobs=kw["jobs"]
+        lam=kw["lam"], theta=kw["theta"], k=kw["k"], jobs=kw["jobs"], variant=variant
     )
-    if variant != "all":
-        rows = [r for r in rows if r["variant"] == variant]
     if kw["fmt"] == "table":
         head = (
             f"{'variant':<10} {'scenario':<28} {'k':>4} {'lambda':>7} "

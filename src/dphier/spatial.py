@@ -893,9 +893,17 @@ def load_points_csv(path) -> np.ndarray:
 
 
 def load_workload_csv(path, dims: int):
-    """Read queries as lines ``lo1,...,lod,hi1,...,hid``."""
-    rows = _read_csv_floats(path, expected_fields=2 * dims).tolist()
-    return [RangeQuery(lo=tuple(row[:dims]), hi=tuple(row[dims:])) for row in rows]
+    """Read queries as lines ``lo1,...,lod,hi1,...,hid``; a row whose box has
+    ``lo > hi`` (or a NaN bound) in some dimension is an input error."""
+    arr = _read_csv_floats(path, expected_fields=2 * dims)
+    inverted = np.flatnonzero(~np.all(arr[:, :dims] <= arr[:, dims:], axis=1))
+    if inverted.size:
+        i = int(inverted[0])
+        raise InputDataError(
+            f"{path}: data row {i + 1}: query requires lo <= hi per dimension, "
+            f"got lo={arr[i, :dims].tolist()} hi={arr[i, dims:].tolist()}"
+        )
+    return [RangeQuery(lo=tuple(row[:dims]), hi=tuple(row[dims:])) for row in arr.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -277,17 +277,25 @@ def threshold_event_log_prob(
     noisy threshold x: density at x times, per query, the probability its
     noisy answer lands above (bit 1) or at/below (bit 0) x.  Kinks sit at
     ``theta`` and at every query value, which are passed as breakpoints.
+
+    Streams repeat a few ``(value, bit)`` pairs, so each distinct pair's tail
+    is evaluated once per node and the product is folded in stream order:
+    the same factors multiplied in the same order as one tail call per query.
     """
     if len(values) != len(bits):
         raise ParameterError("values and bits must align")
     theta_scale = lam if theta_scale is None else theta_scale
     query_scale = lam if query_scale is None else query_scale
     vals = [float(v) for v in values]
+    slot = {}
+    order = [slot.setdefault((v, bool(bit)), len(slot)) for v, bit in zip(vals, bits)]
+    tails = [(v, laplace_sf if bit else laplace_cdf) for v, bit in slot]
 
     def integrand(x):
         p = laplace_pdf(x - theta, theta_scale)
-        for v, bit in zip(vals, bits):
-            p *= laplace_sf(x - v, query_scale) if bit else laplace_cdf(x - v, query_scale)
+        factors = [tail(x - v, query_scale) for v, tail in tails]
+        for i in order:
+            p *= factors[i]
         return p
 
     prob = _integrate(integrand, -math.inf, upper, [theta, *vals])
@@ -514,12 +522,20 @@ def improved_audit_battery(theta: float = 1.0, k: int = 16) -> list:
 
 
 def run_default_audit(
-    lam: float = 2.0, theta: float = 1.0, k: int = 16, t: int = 1, jobs: int = 1
+    lam: float = 2.0,
+    theta: float = 1.0,
+    k: int = 16,
+    t: int = 1,
+    jobs: int = 1,
+    variant: str = "all",
 ):
-    """Audit all three ratio-checked variants at one parameterization.
+    """Audit the ratio-checked variants at one parameterization.
 
-    With ``jobs > 1`` the improved-variant quadratures run in that many
-    worker processes.  Returns one report row per scenario:
+    ``variant`` is ``"all"`` (binary, vanilla and improved rows, in that
+    order) or one of those names, in which case only that variant's rows are
+    computed.  The battery fixes the answer budget ``t`` per scenario, so
+    ``t`` must be 1.  With ``jobs > 1`` the improved-variant quadratures run
+    in that many worker processes.  Returns one report row per scenario:
     ``{variant, scenario, k, lambda, theta, t, log_ratio, claimed_bound,
     verdict}``.  The claimed bound is ``hops * 2 / lam`` (the advertised
     privacy level is eps = 2/lam per neighbor hop); VIOLATES means the exact
@@ -527,61 +543,72 @@ def run_default_audit(
     """
     if not lam > 0:
         raise ParameterError(f"lam must be positive, got {lam!r}")
+    if t != 1:
+        raise ParameterError(
+            f"the default battery fixes t per scenario; t must be 1, got {t!r}"
+        )
+    if variant not in ("all", "binary", "vanilla", "improved"):
+        raise ParameterError(
+            f"unknown variant {variant!r}; expected all, binary, vanilla or improved"
+        )
     rows = []
 
     def verdict(log_ratio, bound):
         return "VIOLATES" if log_ratio > bound + 1e-9 else "SATISFIES"
 
-    ratio = binary_svt_log_ratio(k, theta, lam)
-    rows.append(
-        {
-            "variant": "binary",
-            "scenario": "two-hop-alternating",
-            "k": k,
-            "lambda": lam,
-            "theta": theta,
-            "t": None,
-            "log_ratio": ratio,
-            "claimed_bound": 2 * (2.0 / lam),
-            "verdict": verdict(ratio, 2 * (2.0 / lam)),
-        }
-    )
-    # k=16 at the vanilla counterexample's t=1 would dwarf the bound; keep the
-    # stream short enough that the margin is still readable in reports.
-    k_vanilla = max(4, k // 2)
-    ratio = vanilla_svt_log_ratio(k_vanilla, lam)
-    rows.append(
-        {
-            "variant": "vanilla",
-            "scenario": "two-hop-suppressed-then-release",
-            "k": k_vanilla,
-            "lambda": lam,
-            "theta": 0.0,
-            "t": 1,
-            "log_ratio": ratio,
-            "claimed_bound": 2 * (2.0 / lam),
-            "verdict": verdict(ratio, 2 * (2.0 / lam)),
-        }
-    )
-    scens = improved_audit_battery(theta=theta, k=k)
-    if jobs == 1:
-        ratios = [improved_svt_log_ratio_bound(scen, lam) for scen in scens]
-    else:
-        with ProcessPoolExecutor(jobs, mp_context=get_context("spawn")) as pool:
-            ratios = list(pool.map(improved_svt_log_ratio_bound, scens, [lam] * len(scens)))
-    for scen, log_ratio in zip(scens, ratios):
-        bound = scen.hops * (2.0 / lam)
+    if variant in ("all", "binary"):
+        ratio = binary_svt_log_ratio(k, theta, lam)
         rows.append(
             {
-                "variant": "improved",
-                "scenario": scen.name,
-                "k": len(scen.queries),
+                "variant": "binary",
+                "scenario": "two-hop-alternating",
+                "k": k,
                 "lambda": lam,
-                "theta": scen.theta,
-                "t": scen.t,
-                "log_ratio": log_ratio,
-                "claimed_bound": bound,
-                "verdict": verdict(log_ratio, bound),
+                "theta": theta,
+                "t": None,
+                "log_ratio": ratio,
+                "claimed_bound": 2 * (2.0 / lam),
+                "verdict": verdict(ratio, 2 * (2.0 / lam)),
             }
         )
+    if variant in ("all", "vanilla"):
+        # k=16 at the vanilla counterexample's t=1 would dwarf the bound; keep
+        # the stream short enough that the margin is still readable in reports.
+        k_vanilla = max(4, k // 2)
+        ratio = vanilla_svt_log_ratio(k_vanilla, lam)
+        rows.append(
+            {
+                "variant": "vanilla",
+                "scenario": "two-hop-suppressed-then-release",
+                "k": k_vanilla,
+                "lambda": lam,
+                "theta": 0.0,
+                "t": 1,
+                "log_ratio": ratio,
+                "claimed_bound": 2 * (2.0 / lam),
+                "verdict": verdict(ratio, 2 * (2.0 / lam)),
+            }
+        )
+    if variant in ("all", "improved"):
+        scens = improved_audit_battery(theta=theta, k=k)
+        if jobs == 1:
+            ratios = [improved_svt_log_ratio_bound(scen, lam) for scen in scens]
+        else:
+            with ProcessPoolExecutor(jobs, mp_context=get_context("spawn")) as pool:
+                ratios = list(pool.map(improved_svt_log_ratio_bound, scens, [lam] * len(scens)))
+        for scen, log_ratio in zip(scens, ratios):
+            bound = scen.hops * (2.0 / lam)
+            rows.append(
+                {
+                    "variant": "improved",
+                    "scenario": scen.name,
+                    "k": len(scen.queries),
+                    "lambda": lam,
+                    "theta": scen.theta,
+                    "t": scen.t,
+                    "log_ratio": log_ratio,
+                    "claimed_bound": bound,
+                    "verdict": verdict(log_ratio, bound),
+                }
+            )
     return rows

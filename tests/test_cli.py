@@ -170,6 +170,16 @@ class TestRangeQuery:
         )
         assert res.exit_code == 2
 
+    def test_inverted_box_is_input_error(self, runner, tmp_path, points_csv):
+        _, tree = build_tree(runner, tmp_path, points_csv)
+        wl = tmp_path / "wl.csv"
+        wl.write_text("0.5,0.5,0.2,0.9\n")
+        res = runner.invoke(
+            main, ["range-query", "--tree", str(tree), "--workload", str(wl)]
+        )
+        assert res.exit_code == 2
+        assert "data row 1: query requires lo <= hi" in res.output
+
     def test_ground_truth_report(self, runner, tmp_path, points_csv):
         _, tree = build_tree(runner, tmp_path, points_csv)
         wl = tmp_path / "wl.csv"
@@ -341,6 +351,34 @@ class TestSvtAuditCommand:
         res = runner.invoke(main, ["svt-audit", "--variant", "vanilla", "--format", "table"])
         assert res.exit_code == 0
         assert "VIOLATES" in res.output and "improved" not in res.output
+
+    def test_odd_k_only_for_vanilla(self, runner):
+        res = runner.invoke(main, ["svt-audit", "--variant", "vanilla", "--k", "7"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)[0]["k"] == 4
+        res = runner.invoke(main, ["svt-audit", "--variant", "improved", "--k", "7"])
+        assert res.exit_code == 1
+
+    def test_t_option_removed(self, runner):
+        res = runner.invoke(main, ["svt-audit", "--t", "3"])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+
+    def test_t_config_key_rejected(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t": 3}))
+        res = runner.invoke(main, ["svt-audit", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert "unknown config key 't'" in res.output
+
+    def test_binary_variant_builds_no_improved_battery(self, runner, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("improved battery built")
+
+        monkeypatch.setattr(svt_audit, "improved_audit_battery", refuse)
+        res = runner.invoke(main, ["svt-audit", "--variant", "binary"])
+        assert res.exit_code == 0, res.output
+        assert [r["variant"] for r in json.loads(res.output)] == ["binary"]
 
 
 class TestArtifactHygiene:

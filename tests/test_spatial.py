@@ -860,6 +860,17 @@ class TestFileFormats:
         with pytest.raises(InputDataError, match="line 1"):
             spatial.load_workload_csv(path, 2)
 
+    def test_workload_inverted_box_is_input_error(self, tmp_path):
+        path = tmp_path / "wl.csv"
+        path.write_text("# lo,lo,hi,hi\n0,0,1,1\n0.5,0.5,0.2,0.9\n0.3,0.3,0.1,0.1\n")
+        with pytest.raises(InputDataError, match="data row 2: query requires lo <= hi"):
+            spatial.load_workload_csv(path, 2)
+        path.write_text("0,0,1,1\n0.1,nan,0.2,0.3\n")
+        with pytest.raises(InputDataError, match="data row 2"):
+            spatial.load_workload_csv(path, 2)
+        path.write_text("0.2,0.2,0.2,0.2\n")  # zero-width boxes are valid
+        assert spatial.load_workload_csv(path, 2)[0].hi == (0.2, 0.2)
+
     def test_nonfinite_values_rejected_on_load(self, uniform_4096, tmp_path):
         params = privtree_params(1.0, 4, 0.0)
         tree = build_privtree(uniform_4096, params, noiseless=True, depth_cap=1)
@@ -978,10 +989,15 @@ class TestCsvReaders:
             if isinstance(want, str):
                 assert got == want
             else:
-                try:
-                    rows = [RangeQuery(r[:dims], r[dims:]) for r in want.tolist()]
-                except ParameterError as exc:
-                    assert got == str(exc)
+                rows = []
+                for i, r in enumerate(want.tolist()):
+                    try:
+                        rows.append(RangeQuery(r[:dims], r[dims:]))
+                    except ParameterError:
+                        # the first inverted box is an input error naming its row
+                        assert isinstance(got, str)
+                        assert got.startswith(f"{path}: data row {i + 1}: ")
+                        break
                 else:
                     assert isinstance(got, list) and len(got) == len(rows)
                     flat = [v for q in got for v in q.lo + q.hi]

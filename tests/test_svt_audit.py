@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dphier import dp_core
 from dphier import svt_audit as sa
-from dphier.errors import ParameterError
+from dphier.dp_core import laplace_cdf, laplace_pdf, laplace_sf
+from dphier.errors import ParameterError, QuadratureError
 from dphier.svt_audit import (
     AuditScenario,
     SvtConfig,
@@ -27,6 +31,42 @@ D2 = ("a", "b", "b")
 D3 = ("b", "b")
 QA = token_count_query("a")
 QB = token_count_query("b")
+
+
+def reference_integrand(values, bits, theta, theta_scale, query_scale):
+    """The threshold-event integrand with one tail call per query."""
+    vals = [float(v) for v in values]
+
+    def integrand(x):
+        p = laplace_pdf(x - theta, theta_scale)
+        for v, bit in zip(vals, bits):
+            p *= laplace_sf(x - v, query_scale) if bit else laplace_cdf(x - v, query_scale)
+        return p
+
+    return integrand
+
+
+def reference_event_log_prob(
+    values, bits, theta, lam, *, theta_scale=None, query_scale=None, upper=math.inf
+):
+    """threshold_event_log_prob integrating :func:`reference_integrand`."""
+    if len(values) != len(bits):
+        raise ParameterError("values and bits must align")
+    theta_scale = lam if theta_scale is None else theta_scale
+    query_scale = lam if query_scale is None else query_scale
+    f = reference_integrand(values, bits, theta, theta_scale, query_scale)
+    prob = sa._integrate(f, -math.inf, upper, [theta, *[float(v) for v in values]])
+    if prob <= 0.0:
+        raise QuadratureError(f"event probability underflowed to {prob!r}")
+    return math.log(prob)
+
+
+def outcome(fn, *args, **kwargs):
+    """The float ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (ParameterError, QuadratureError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 class CountingRng:
@@ -276,3 +316,102 @@ class TestDefaultAudit:
     def test_bad_lambda(self):
         with pytest.raises(ParameterError):
             run_default_audit(lam=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the once-per-distinct-pair integrand against the per-query reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def threshold_events(draw):
+    """Query streams over at most three distinct values (so values repeat),
+    with all-0, all-1 or mixed bits, unequal scales and finite upper limits."""
+    pool = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0]), st.floats(-3.0, 5.0)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    n = draw(st.integers(0, 20))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    mode = draw(st.sampled_from(["zeros", "ones", "mixed"]))
+    if mode == "mixed":
+        bits = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    else:
+        bits = [int(mode == "ones")] * n
+    kwargs = {
+        "theta_scale": draw(st.sampled_from([None, 0.7, 3.0])),
+        "query_scale": draw(st.sampled_from([None, 1.5, 8.0])),
+        "upper": draw(st.one_of(st.just(math.inf), st.floats(-2.0, 6.0))),
+    }
+    theta = draw(st.floats(-2.0, 3.0))
+    lam = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    return values, bits, theta, lam, kwargs
+
+
+class TestDistinctTailIntegrand:
+    @given(event=threshold_events())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_per_query_reference(self, event):
+        values, bits, theta, lam, kwargs = event
+        got = outcome(sa.threshold_event_log_prob, values, bits, theta, lam, **kwargs)
+        want = outcome(reference_event_log_prob, values, bits, theta, lam, **kwargs)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("lam,k", list(itertools.product((1.0, 2.0, 4.0), (16, 32))))
+    def test_default_audit_matches_reference_path(self, lam, k, monkeypatch):
+        got = run_default_audit(lam=lam, theta=1.0, k=k)
+        monkeypatch.setattr(sa, "threshold_event_log_prob", reference_event_log_prob)
+        assert repr(got) == repr(run_default_audit(lam=lam, theta=1.0, k=k))
+
+    def test_vanilla_quadrature_matches_reference_path(self, monkeypatch):
+        got = vanilla_svt_log_ratio_quad(4, 2.0)
+        monkeypatch.setattr(sa, "threshold_event_log_prob", reference_event_log_prob)
+        assert repr(got) == repr(vanilla_svt_log_ratio_quad(4, 2.0))
+
+    def test_one_tail_call_per_distinct_pair(self, monkeypatch):
+        calls = []
+
+        def counted(tail):
+            def wrapped(x, scale):
+                calls.append(tail.__name__)
+                return tail(x, scale)
+
+            return wrapped
+
+        monkeypatch.setattr(sa, "laplace_sf", counted(dp_core.laplace_sf))
+        monkeypatch.setattr(sa, "laplace_cdf", counted(dp_core.laplace_cdf))
+        captured = []
+        monkeypatch.setattr(
+            sa, "_integrate", lambda f, lower, upper, breakpoints: captured.append(f) or 0.5
+        )
+        values = [1, 1, 2, 0, 1, 2, 2, 0] * 4
+        bits = [1, 0, 0, 1, 1, 0, 0, 1] * 4
+        distinct = len(set(zip(values, bits)))
+        sa.threshold_event_log_prob(values, bits, 1.0, 2.0, query_scale=3.0)
+        (f,) = captured
+        ref = reference_integrand(values, bits, 1.0, 2.0, 3.0)
+        for x in (-40.0, -2.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.25, 60.0):
+            calls.clear()
+            y = f(x)
+            assert len(calls) <= distinct
+            assert repr(y) == repr(ref(x))
+
+
+class TestDefaultAuditVariants:
+    def test_single_variant_rows_match_full_battery(self):
+        rows = run_default_audit(lam=2.0, theta=1.0, k=16)
+        for variant in ("binary", "vanilla", "improved"):
+            want = [r for r in rows if r["variant"] == variant]
+            assert repr(run_default_audit(lam=2.0, theta=1.0, k=16, variant=variant)) == repr(want)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ParameterError, match="unknown variant"):
+            run_default_audit(variant="reduced")
+
+    @pytest.mark.parametrize("t", [0, 2, 3])
+    def test_t_other_than_one_rejected(self, t):
+        with pytest.raises(ParameterError, match="t must be 1"):
+            run_default_audit(t=t)
