@@ -255,6 +255,11 @@ def cmd_seq_build(**kw):
     if not raw:
         raise InputDataError(f"{kw['input_path']}: no sequences found")
     data = markov.truncate_sequences(raw, kw["lmax"])
+    click.echo(
+        "NOTE: alphabet inferred from the data; an inferred alphabet lists every "
+        "token of the records and is not private. Prefer a fixed public alphabet.",
+        err=True,
+    )
     rng = np.random.default_rng(np.random.SeedSequence(kw["seed"]))
     t0 = time.perf_counter()
     pst = markov.build_private_pst(
@@ -342,8 +347,6 @@ def cmd_svt_audit(**kw):
     """Exact probability-ratio audit of the threshold-mechanism variants."""
     kw = _apply_config(kw.pop("config_path"), kw)
     variant = str(kw["variant"]).lower()
-    if variant != "vanilla" and kw["k"] % 2:
-        raise ParameterError("k must be even for the binary and improved scenarios")
     _check_jobs(kw["jobs"])
     rows = svt_audit.run_default_audit(
         lam=kw["lam"], theta=kw["theta"], k=kw["k"], jobs=kw["jobs"], variant=variant

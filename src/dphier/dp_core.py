@@ -16,7 +16,6 @@ from .errors import InputDataError, ParameterError
 
 __all__ = [
     "DEFAULT_DEPTH_CAP",
-    "LaplaceSample",
     "PrivacyParams",
     "biased_count",
     "biased_split",
@@ -43,17 +42,6 @@ DEFAULT_DEPTH_CAP = 40
 def _check_scale(scale: float) -> None:
     if not scale > 0:
         raise ParameterError(f"Laplace scale must be positive, got {scale!r}")
-
-
-@dataclass(frozen=True)
-class LaplaceSample:
-    """A tagged Laplace draw, carrying the scale it was drawn at."""
-
-    value: float
-    scale: float
-
-    def __post_init__(self) -> None:
-        _check_scale(self.scale)
 
 
 @dataclass(frozen=True)

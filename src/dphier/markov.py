@@ -18,8 +18,11 @@ with START=0 and END=1.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
 
@@ -129,16 +132,21 @@ class SequenceDataset:
     def __post_init__(self):
         if not (isinstance(self.l_max, (int, np.integer)) and self.l_max >= 1):
             raise ParameterError(f"l_max must be an integer >= 1, got {self.l_max!r}")
-        seqs = tuple(tuple(int(t) for t in s) for s in self.sequences)
+        seqs = tuple(tuple(map(int, s)) for s in self.sequences)
         opens = tuple(bool(o) for o in self.open_ended)
         if len(seqs) != len(opens):
             raise InputDataError("sequences and open_ended must align")
         valid = set(self.alphabet.symbol_ids)
-        for s, is_open in zip(seqs, opens):
-            if any(t not in valid for t in s):
-                raise InputDataError("sequence contains ids outside the alphabet")
-            if len(s) + (0 if is_open else 1) > self.l_max:
-                raise InputDataError("sequence exceeds the length cap")
+        lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+        closed = ~np.array(opens, dtype=bool)  # the end marker counts
+        too_long = lens + closed > self.l_max
+        if too_long.any() or not valid.issuperset(itertools.chain.from_iterable(seqs)):
+            # the first offending sequence names the error
+            for s, long in zip(seqs, too_long):
+                if not valid.issuperset(s):
+                    raise InputDataError("sequence contains ids outside the alphabet")
+                if long:
+                    raise InputDataError("sequence exceeds the length cap")
         object.__setattr__(self, "sequences", seqs)
         object.__setattr__(self, "open_ended", opens)
 
@@ -154,32 +162,31 @@ def truncate_sequences(raw, l_max: int, alphabet: Alphabet | None = None) -> Seq
     marker; longer ones are cut to their first ``l_max`` symbols and become
     open-ended.  ``raw`` holds token lists without sentinels; the alphabet is
     inferred in first-appearance order unless given.
+
+    An inferred alphabet is not private: it lists every token of the data,
+    and a token that occurs in one record reveals that record.  Pass a public
+    ``alphabet`` for a private release.
     """
     if not (isinstance(l_max, (int, np.integer)) and l_max >= 1):
         raise ParameterError(f"l_max must be an integer >= 1, got {l_max!r}")
-    raw = [list(map(str, s)) for s in raw]
+    raw = [tuple(map(str, s)) for s in raw]
     if alphabet is None:
-        seen = []
-        for s in raw:
-            for tok in s:
-                if tok not in seen:
-                    seen.append(tok)
-        if not seen:
+        symbols = tuple(dict.fromkeys(itertools.chain.from_iterable(raw)))
+        if not symbols:
             raise ParameterError("cannot infer an alphabet from empty input")
-        alphabet = Alphabet(tuple(seen))
-    sequences, opens = [], []
-    for s in raw:
-        ids = tuple(alphabet.id_of(t) for t in s)
-        if len(ids) + 1 <= l_max:
-            sequences.append(ids)
-            opens.append(False)
-        else:
-            sequences.append(ids[: int(l_max)])
-            opens.append(True)
+        alphabet = Alphabet(symbols)
+    code = {START_TOKEN: START_ID, END_TOKEN: END_ID, **alphabet._ids}.__getitem__
+    try:
+        sequences = tuple(
+            ids if len(ids) < l_max else ids[:l_max]
+            for ids in (tuple(map(code, s)) for s in raw)
+        )
+    except KeyError as exc:
+        raise InputDataError(f"unknown symbol {exc.args[0]!r}") from None
     return SequenceDataset(
         alphabet=alphabet,
-        sequences=tuple(sequences),
-        open_ended=tuple(opens),
+        sequences=sequences,
+        open_ended=tuple(len(s) >= l_max for s in raw),
         l_max=int(l_max),
     )
 
@@ -243,6 +250,7 @@ class Pst:
     params: PrivacyParams | None = None
     params_info: dict = field(default_factory=dict)
     root: int = 0
+    _reader: _ContextAutomaton | None = field(default=None, repr=False, compare=False)
 
     def node(self, nid: int) -> PstNode:
         return self.nodes[nid]
@@ -516,6 +524,97 @@ def _deepest_suffix_node(pst: Pst, context_ids) -> int:
     return nid
 
 
+# Generation reads uniforms ahead in blocks of this many from a copy of the
+# caller's generator, then advances the caller's generator by as many as it used.
+_UNIFORM_BLOCK = 4096
+
+
+class _State:
+    """An automaton state: its context string, that string's deepest-suffix
+    node, the node's magnitude and sampling row, and the transitions so far."""
+
+    __slots__ = ("string", "node", "mag", "row", "trans")
+
+    def __init__(self, string: tuple, node: int, mag: float, row: list):
+        self.string, self.node, self.mag, self.row = string, node, mag, row
+        self.trans = {}
+
+
+class _ContextAutomaton:
+    """The read side of a PST: an automaton over contexts (Aho-Corasick).
+
+    The child links that :func:`_deepest_suffix_node` walks spell a string,
+    oldest symbol first, for every node.  A state is a prefix of one of those
+    strings: after reading a context, the longest suffix of the context that
+    is such a prefix.  Every node string that is a suffix of the context is a
+    suffix of the state's string, so the state's deepest-suffix node is the
+    context's.  States and transitions are made on first use; there are at
+    most 1 + (sum of node string lengths) states.
+    """
+
+    def __init__(self, pst: Pst):
+        self._pst = pst
+        self._prefixes = {()}
+        stack, reached = [(pst.root, ())], 0
+        while stack:
+            nid, string = stack.pop()
+            reached += 1
+            if reached > len(pst.nodes):
+                raise InputDataError("PST child links do not form a tree")
+            for sym, child in pst.node(nid).children.items():
+                longer = (sym,) + string
+                self._prefixes.update(longer[:i] for i in range(1, len(longer) + 1))
+                stack.append((child, longer))
+        self._cols = (END_ID, *pst.alphabet.symbol_ids)
+        self.states = {}  # context string -> _State
+        self.empty = self._state(())
+
+    def _state(self, string: tuple) -> _State:
+        state = self.states.get(string)
+        if state is None:
+            nid = _deepest_suffix_node(self._pst, string)
+            hist = self._pst.node(nid).hist
+            if hist is None:
+                raise InputDataError("PST has no histograms attached")
+            state = _State(string, nid, float(hist.sum()), _sampling_row(hist, self._cols))
+            # one state per string, also when concurrent readers race here
+            state = self.states.setdefault(string, state)
+        return state
+
+    def step(self, state: _State, sym: int) -> _State:
+        """The state after reading ``sym`` in ``state``."""
+        nxt = state.trans.get(sym)
+        if nxt is None:
+            string = state.string + (sym,)
+            while string not in self._prefixes:
+                string = string[1:]
+            nxt = state.trans[sym] = self._state(string)
+        return nxt
+
+
+def _sampling_row(hist, cols) -> list:
+    """Running maximum of the left fold of ``hist`` over ``cols``.
+
+    The row is sorted, and ``bisect_right(row, u)`` is the first index whose
+    fold exceeds ``u``: what a scan for the first ``u < acc`` returns, even
+    when an entry is negative or NaN.  An index past the row means no entry
+    was picked.
+    """
+    acc, top, row = 0.0, -math.inf, []
+    for c in cols:
+        acc += float(hist[c])
+        if acc > top:
+            top = acc
+        row.append(top)
+    return row
+
+
+def _automaton(pst: Pst) -> _ContextAutomaton:
+    if pst._reader is None:
+        pst._reader = _ContextAutomaton(pst)
+    return pst._reader
+
+
 def longest_suffix_node(pst: Pst, s) -> int:
     """Id of the deepest node whose predictor is a suffix of ``s``.
 
@@ -548,15 +647,16 @@ def estimate_string_count(pst: Pst, s_q) -> float:
     root_hist = pst.node(pst.root).hist
     if root_hist is None:
         raise InputDataError("PST has no histograms attached")
+    reader = _automaton(pst)
+    state = reader.empty
     ans = float(root_hist[ids[0]])
     for i in range(1, len(ids)):
         if ans == 0.0:
             return 0.0
-        node = pst.node(_deepest_suffix_node(pst, ids[:i]))
-        mag = float(node.hist.sum())
-        if mag == 0.0:
+        state = reader.step(state, ids[i - 1])
+        if state.mag == 0.0:
             return 0.0
-        ans *= float(node.hist[ids[i]]) / mag
+        ans *= float(pst.node(state.node).hist[ids[i]]) / state.mag
     return ans
 
 
@@ -574,22 +674,24 @@ def top_k_strings(pst: Pst, k: int):
         raise ParameterError(f"k must be an integer >= 1, got {k!r}")
     if pst.node(pst.root).hist is None:
         raise InputDataError("PST has no histograms attached")
-    heap = []
+    reader = _automaton(pst)
     root_hist = pst.node(pst.root).hist
+    # an entry carries the state of its string without the last symbol
+    heap = []
     for sym in pst.alphabet.symbol_ids:
-        heappush(heap, (-float(root_hist[sym]), 1, (sym,)))
+        heappush(heap, (-float(root_hist[sym]), 1, (sym,), reader.empty))
     out = []
     while heap and len(out) < k:
-        neg_est, _, ids = heappop(heap)
+        neg_est, _, ids, state = heappop(heap)
         est = -neg_est
         out.append((tuple(pst.alphabet.token_of(t) for t in ids), est))
         if len(ids) >= pst.l_max:
             continue
-        node = pst.node(_deepest_suffix_node(pst, list(ids)))
-        mag = float(node.hist.sum())
+        state = reader.step(state, ids[-1])
+        hist, mag = pst.node(state.node).hist, state.mag
         for sym in pst.alphabet.symbol_ids:
-            child_est = est * float(node.hist[sym]) / mag if mag > 0.0 else 0.0
-            heappush(heap, (-child_est, len(ids) + 1, ids + (sym,)))
+            child_est = est * float(hist[sym]) / mag if mag > 0.0 else 0.0
+            heappush(heap, (-child_est, len(ids) + 1, ids + (sym,), state))
     return out
 
 
@@ -601,7 +703,9 @@ def generate_sequences(pst: Pst, count: int, rng: np.random.Generator):
     end marker appears.  A hard cutoff at ``l_max`` emitted symbols ends the
     sequence regardless (clamped noisy histograms can lose the end marker);
     hitting a zero-magnitude histogram mid-sequence also ends it there.
-    Returns token lists without sentinels.
+    Returns token lists without sentinels.  Each sampled symbol, the end
+    marker included, takes one ``rng.random()`` draw, and ``rng`` moves by
+    exactly those draws.
     """
     if not (isinstance(count, (int, np.integer)) and count >= 0):
         raise ParameterError(f"count must be a nonnegative integer, got {count!r}")
@@ -610,27 +714,34 @@ def generate_sequences(pst: Pst, count: int, rng: np.random.Generator):
         raise InputDataError("PST has no histograms attached")
     if float(root_hist.sum()) <= 0.0:
         raise GenerationError("root histogram is empty; nothing to sample")
+    reader = _automaton(pst)
+    start = reader.step(reader.empty, START_ID)
+    picks = (END_ID, *pst.alphabet.symbol_ids, END_ID)
+    tokens = (START_TOKEN, END_TOKEN, *pst.alphabet.symbols)
+    # read ahead from a copy; the caller's generator only moves by what is used
+    ahead = copy.deepcopy(rng)
+    block, pos, used = [], 0, 0
     out = []
     for _ in range(count):
-        ctx = [START_ID]
+        state = start
         emitted = []
         while len(emitted) < pst.l_max:
-            node = pst.node(_deepest_suffix_node(pst, ctx))
-            hist = node.hist
-            mag = float(hist.sum())
+            mag = state.mag
             if mag <= 0.0:
                 break
-            u = rng.random() * mag
-            acc = 0.0
-            sym = END_ID
-            for cand in (END_ID, *pst.alphabet.symbol_ids):
-                acc += float(hist[cand])
-                if u < acc:
-                    sym = cand
-                    break
+            if pos == len(block):
+                used += pos
+                block, pos = ahead.random(_UNIFORM_BLOCK).tolist(), 0
+            sym = picks[bisect_right(state.row, block[pos] * mag)]
+            pos += 1
             if sym == END_ID:
                 break
-            emitted.append(sym)
-            ctx.append(sym)
-        out.append([pst.alphabet.token_of(t) for t in emitted])
+            emitted.append(tokens[sym])
+            state = state.trans.get(sym) or reader.step(state, sym)
+        out.append(emitted)
+    used += pos
+    while used:
+        chunk = min(used, _UNIFORM_BLOCK)
+        rng.random(chunk)
+        used -= chunk
     return out

@@ -454,7 +454,10 @@ def improved_audit_battery(theta: float = 1.0, k: int = 16) -> list:
 
     Covers both neighbor directions (insertion and removal), budget-exhausting
     and non-exhausting patterns, and the degenerate identical-datasets case.
+    The streams hold ``k`` queries in two halves, so ``k`` must be even.
     """
+    if not (isinstance(k, (int, np.integer)) and k >= 2 and k % 2 == 0):
+        raise ParameterError(f"k must be an even integer >= 2, got {k!r}")
     q_a, q_b = token_count_query("a"), token_count_query("b")
     d1 = ("a", "b")
     d2 = ("a", "b", "b")

@@ -270,6 +270,12 @@ class TestSequenceCommands:
         )
         assert res.exit_code == 1
 
+    def test_inferred_alphabet_notes_privacy(self, runner, tmp_path, sequences_txt):
+        res, _ = self.build_pst(runner, tmp_path, sequences_txt)
+        assert res.exit_code == 0
+        assert "alphabet inferred from the data" in res.output
+        assert "not private" in res.output
+
     def test_noiseless_topk_matches_hand_counts(self, runner, tmp_path, sequences_txt):
         res, pst = self.build_pst(runner, tmp_path, sequences_txt, "--noiseless")
         assert res.exit_code == 0, res.output

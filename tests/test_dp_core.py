@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dphier.dp_core import (
-    LaplaceSample,
     PrivacyParams,
     biased_count,
     biased_split,
@@ -232,11 +231,6 @@ class TestPrivacyParams:
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ParameterError):
             privtree_params(0.0, 4, 0.0)
-
-    def test_laplace_sample_type_checks_scale(self):
-        with pytest.raises(ParameterError):
-            LaplaceSample(value=0.0, scale=0.0)
-        assert LaplaceSample(value=1.0, scale=2.0).scale == 2.0
 
 
 class TestComposeBudgets:

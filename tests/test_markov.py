@@ -1,5 +1,8 @@
+import heapq
 import itertools
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -764,3 +767,298 @@ class TestLoadValidation:
         child["predictor"] = ["B"]
         with pytest.raises(InputDataError, match="not one level below its parent"):
             markov.pst_from_json_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# the read side against per-symbol suffix walks
+# ---------------------------------------------------------------------------
+
+
+def walk(pst, context):
+    nid = pst.root
+    for sym in reversed(context):
+        if sym not in pst.node(nid).children:
+            break
+        nid = pst.node(nid).children[sym]
+    return nid
+
+
+def reference_generate(pst, count, rng):
+    """One ``rng.random()`` per sampled symbol, a suffix walk per symbol and a
+    linear scan for the first cumulative count above the draw."""
+    if float(pst.node(pst.root).hist.sum()) <= 0.0:
+        raise GenerationError("root histogram is empty; nothing to sample")
+    out = []
+    for _ in range(count):
+        ctx, emitted = [START_ID], []
+        while len(emitted) < pst.l_max:
+            hist = pst.node(walk(pst, ctx)).hist
+            mag = float(hist.sum())
+            if mag <= 0.0:
+                break
+            u = rng.random() * mag
+            acc, sym = 0.0, END_ID
+            for cand in (END_ID, *pst.alphabet.symbol_ids):
+                acc += float(hist[cand])
+                if u < acc:
+                    sym = cand
+                    break
+            if sym == END_ID:
+                break
+            emitted.append(sym)
+            ctx.append(sym)
+        out.append([pst.alphabet.token_of(t) for t in emitted])
+    return out
+
+
+def reference_estimate(pst, ids):
+    ans = float(pst.node(pst.root).hist[ids[0]])
+    for i in range(1, len(ids)):
+        if ans == 0.0:
+            return 0.0
+        hist = pst.node(walk(pst, ids[:i])).hist
+        mag = float(hist.sum())
+        if mag == 0.0:
+            return 0.0
+        ans *= float(hist[ids[i]]) / mag
+    return ans
+
+
+def reference_top_k(pst, k):
+    root_hist = pst.node(pst.root).hist
+    heap = [(-float(root_hist[s]), 1, (s,)) for s in pst.alphabet.symbol_ids]
+    heapq.heapify(heap)
+    out = []
+    while heap and len(out) < k:
+        neg_est, _, ids = heapq.heappop(heap)
+        out.append((tuple(pst.alphabet.token_of(t) for t in ids), -neg_est))
+        if len(ids) >= pst.l_max:
+            continue
+        hist = pst.node(walk(pst, list(ids))).hist
+        mag = float(hist.sum())
+        for sym in pst.alphabet.symbol_ids:
+            est = -neg_est * float(hist[sym]) / mag if mag > 0.0 else 0.0
+            heapq.heappush(heap, (-est, len(ids) + 1, ids + (sym,)))
+    return out
+
+
+def reference_truncate(raw, l_max, alphabet=None):
+    """Token-at-a-time truncation with per-sequence dataset validation."""
+    raw = [list(map(str, s)) for s in raw]
+    if alphabet is None:
+        seen = []
+        for s in raw:
+            for tok in s:
+                if tok not in seen:
+                    seen.append(tok)
+        if not seen:
+            raise ParameterError("cannot infer an alphabet from empty input")
+        alphabet = Alphabet(tuple(seen))
+    sequences, opens = [], []
+    for s in raw:
+        ids = tuple(alphabet.id_of(t) for t in s)
+        sequences.append(ids if len(ids) + 1 <= l_max else ids[:l_max])
+        opens.append(len(ids) + 1 > l_max)
+    reference_dataset_check(alphabet, sequences, opens, l_max)
+    return alphabet.symbols, tuple(sequences), tuple(opens)
+
+
+def reference_dataset_check(alphabet, sequences, opens, l_max):
+    valid = set(alphabet.symbol_ids)
+    for s, is_open in zip(sequences, opens):
+        if any(int(t) not in valid for t in s):
+            raise InputDataError("sequence contains ids outside the alphabet")
+        if len(s) + (0 if is_open else 1) > l_max:
+            raise InputDataError("sequence exceeds the length cap")
+
+
+def outcome(fn, *args):
+    """A call's result, or its error class and message."""
+    try:
+        return ("ok", fn(*args))
+    except (ParameterError, InputDataError, GenerationError) as exc:
+        return ("error", type(exc), str(exc))
+
+
+def hand_made_pst(draw, l_max):
+    """A PST over {A, B} whose links need not match its predictors, with
+    counts that may be zero, negative or missing from the fold (START slot)."""
+    alpha = Alphabet(("A", "B"))
+    keys = (START_ID, alpha.id_of("A"), alpha.id_of("B"))
+    count = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.0, -1.0])
+    nodes = []
+    for nid in range(draw(st.integers(1, 8))):
+        hist = np.array(
+            [draw(st.sampled_from([0.0, 0.0, 2.0]))] + [draw(count) for _ in range(3)]
+        )
+        nodes.append(PstNode(id=nid, predictor=(), hist=hist))
+        if nid:
+            free = [(p, key) for p in range(nid) for key in keys if key not in nodes[p].children]
+            parent, key = draw(st.sampled_from(free))
+            nodes[parent].children[key] = nid
+            nodes[nid].predictor = (key,) + nodes[parent].predictor
+    return Pst(nodes=nodes, alphabet=alpha, l_max=l_max)
+
+
+def built_pst(draw, l_max):
+    raw = draw(st.lists(st.lists(st.sampled_from("ABC"), min_size=1, max_size=8), min_size=1, max_size=30))
+    data = truncate_sequences(raw, l_max, Alphabet(("A", "B", "C")))
+    epsilon = draw(st.sampled_from([0.5, 4.0, 60.0]))
+    if draw(st.booleans()):
+        return build_private_pst(data, epsilon, noiseless=True)
+    return build_private_pst(data, epsilon, np.random.default_rng(draw(st.integers(0, 99))))
+
+
+@st.composite
+def psts(draw):
+    l_max = draw(st.integers(1, 7))
+    make = draw(st.sampled_from([hand_made_pst, built_pst]))
+    return make(draw, l_max)
+
+
+def all_contexts(pst, length):
+    """Every string of START and symbol ids up to ``length``, oldest first."""
+    syms = (START_ID, *pst.alphabet.symbol_ids)
+    for n in range(length + 1):
+        yield from itertools.product(syms, repeat=n)
+
+
+class TestContextAutomaton:
+    @given(pst=psts())
+    @settings(max_examples=150, deadline=None)
+    def test_state_node_is_the_suffix_walk_node(self, pst):
+        reader = markov._automaton(pst)
+        depth = max(len(n.predictor) for n in pst.nodes)
+        for ctx in all_contexts(pst, depth + 2):
+            state = reader.empty
+            for sym in ctx:
+                state = reader.step(state, sym)
+            assert state.node == walk(pst, ctx) == markov._deepest_suffix_node(pst, ctx)
+        assert len(reader.states) <= 1 + sum(len(n.predictor) for n in pst.nodes)
+        assert markov._automaton(pst) is reader
+
+    @given(pst=psts(), count=st.integers(0, 40), seed=st.integers(0, 2**32),
+           block=st.sampled_from([1, 2, 7, markov._UNIFORM_BLOCK]))
+    @settings(max_examples=200, deadline=None)
+    def test_generation_and_final_rng_state_match_reference(self, pst, count, seed, block):
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = outcome(reference_generate, pst, count, rng_ref)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(markov, "_UNIFORM_BLOCK", block)
+            got = outcome(generate_sequences, pst, count, rng)
+        assert got == want
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_generation_spans_many_blocks(self, monkeypatch):
+        data = truncate_sequences(
+            [list("ABCAB"), list("BCA"), list("CCAB"), list("ABABAB")] * 20, 8
+        )
+        pst = build_private_pst(data, 4.0, np.random.default_rng(5))
+        monkeypatch.setattr(markov, "_UNIFORM_BLOCK", 3)
+        rng_ref, rng = np.random.default_rng(11), np.random.default_rng(11)
+        out = generate_sequences(pst, 300, rng)
+        assert out == reference_generate(pst, 300, rng_ref)
+        assert sum(map(len, out)) + 300 > 10 * 3
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        # the caller's generator continues where the reference's does
+        assert rng.random() == rng_ref.random()
+
+    def test_end_wins_when_fold_is_below_the_draw(self):
+        # mass in the START slot counts in the magnitude but is never picked
+        alpha = Alphabet(("A",))
+        hist = np.array([3.0, 0.0, 1.0])
+        pst = Pst(nodes=[PstNode(id=0, predictor=(), hist=hist)], alphabet=alpha, l_max=4)
+        rng_ref, rng = np.random.default_rng(2), np.random.default_rng(2)
+        out = generate_sequences(pst, 200, rng)
+        assert out == reference_generate(pst, 200, rng_ref)
+        assert [] in out and ["A"] in out
+
+    def test_draw_equal_to_a_cumulative_count_picks_as_the_scan_does(self):
+        # SFC64 returns a + b + counter first, so a zero state draws exactly
+        # 0.0: u == acc at END (count 0), and the scan moves on to A
+        alpha = Alphabet(("A",))
+        hist = np.array([0.0, 0.0, 1.0])
+        pst = Pst(nodes=[PstNode(id=0, predictor=(), hist=hist)], alphabet=alpha, l_max=1)
+        rngs = [np.random.Generator(np.random.SFC64()) for _ in range(2)]
+        for rng in rngs:
+            state = rng.bit_generator.state
+            state["state"]["state"][:] = 0
+            rng.bit_generator.state = state
+        out = generate_sequences(pst, 1, rngs[0])
+        assert out == reference_generate(pst, 1, rngs[1]) == [["A"]]
+
+    def test_cyclic_links_rejected_before_any_draw(self):
+        alpha = Alphabet(("A",))
+        a = alpha.id_of("A")
+        nodes = [
+            PstNode(id=0, predictor=(), children={a: 1}, hist=np.array([0.0, 1.0, 1.0])),
+            PstNode(id=1, predictor=(a,), children={a: 0}, hist=np.array([0.0, 1.0, 1.0])),
+        ]
+        pst = Pst(nodes=nodes, alphabet=alpha, l_max=3)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(InputDataError, match="do not form a tree"):
+            generate_sequences(pst, 5, rng)
+        assert rng.bit_generator.state == before
+
+    def test_concurrent_readers_share_one_model(self):
+        data = truncate_sequences([list("ABCAB"), list("BCA"), list("CCAB"), list("ABAB")] * 30, 8)
+        pst = build_private_pst(data, 8.0, np.random.default_rng(6))
+        want = [reference_generate(pst, 200, np.random.default_rng(s)) for s in range(8)]
+        fresh = Pst(nodes=pst.nodes, alphabet=pst.alphabet, l_max=pst.l_max)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(
+                    lambda s: generate_sequences(fresh, 200, np.random.default_rng(s)),
+                    range(8),
+                    timeout=60,
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @given(pst=psts(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_estimates_and_top_k_bit_equal_reference_walks(self, pst, data):
+        symbol = st.sampled_from(pst.alphabet.symbol_ids)
+        queries = data.draw(st.lists(st.lists(symbol, min_size=1, max_size=pst.l_max + 2), max_size=10))
+        for ids in queries:
+            ids = ids + ([END_ID] if data.draw(st.booleans()) else [])
+            assert repr(estimate_string_count(pst, ids)) == repr(reference_estimate(pst, ids))
+        k = data.draw(st.integers(1, 60))
+        assert repr(top_k_strings(pst, k)) == repr(reference_top_k(pst, k))
+
+
+tokens = st.sampled_from(["A", "B", "C", "x", START_TOKEN, END_TOKEN, 7])
+
+
+class TestTruncationEquivalence:
+    @given(
+        raw=st.lists(st.lists(tokens, max_size=9), max_size=8),
+        l_max=st.integers(1, 7),
+        given_alphabet=st.sampled_from([None, ("A", "B"), ("A", "B", "C", "x", "7")]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_dataset_or_same_error(self, raw, l_max, given_alphabet):
+        alphabet = None if given_alphabet is None else Alphabet(given_alphabet)
+        want = outcome(reference_truncate, raw, l_max, alphabet)
+        got = outcome(truncate_sequences, raw, l_max, alphabet)
+        if got[0] == "ok":
+            d = got[1]
+            got = ("ok", (d.alphabet.symbols, d.sequences, d.open_ended))
+        assert got == want
+
+    @given(
+        seqs=st.lists(st.lists(st.integers(-1, 5), max_size=6), max_size=6),
+        data=st.data(),
+        l_max=st.integers(1, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dataset_validation_names_first_offending_sequence(self, seqs, data, l_max):
+        alpha = Alphabet(("A", "B", "C"))
+        opens = [data.draw(st.booleans()) for _ in seqs]
+        want = outcome(reference_dataset_check, alpha, seqs, opens, l_max)
+        got = outcome(markov.SequenceDataset, alpha, tuple(map(tuple, seqs)), tuple(opens), l_max)
+        assert (got if got[0] == "error" else ("ok", None)) == want

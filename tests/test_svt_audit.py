@@ -415,3 +415,13 @@ class TestDefaultAuditVariants:
     def test_t_other_than_one_rejected(self, t):
         with pytest.raises(ParameterError, match="t must be 1"):
             run_default_audit(t=t)
+
+    @pytest.mark.parametrize("k", [7, 0, 1.5])
+    def test_improved_battery_names_k(self, k):
+        with pytest.raises(ParameterError, match=r"k must be an even integer >= 2"):
+            improved_audit_battery(k=k)
+        with pytest.raises(ParameterError, match=r"k must be an even integer >= 2"):
+            run_default_audit(variant="improved", k=k)
+
+    def test_smallest_even_k_builds(self):
+        assert all(len(scen.queries) == 2 for scen in improved_audit_battery(k=2))
