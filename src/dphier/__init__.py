@@ -24,10 +24,10 @@ __all__ = [
     "InputDataError",
     "ParameterError",
     "QuadratureError",
+    "__version__",
     "dp_core",
     "evalbench",
     "markov",
     "spatial",
     "svt_audit",
-    "__version__",
 ]

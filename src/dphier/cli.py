@@ -120,8 +120,8 @@ def main() -> None:
 @click.option("--depth-cap", type=int, default=spatial.DEFAULT_DEPTH_CAP, show_default=True)
 @click.option("--budget-split", type=float, default=0.5, show_default=True,
               help="fraction of epsilon spent on the tree structure")
-@click.option("--domain-lo", default=None, help="comma-separated lower bounds")
-@click.option("--domain-hi", default=None, help="comma-separated upper bounds")
+@click.option("--domain-lo", default=None, help="comma-separated public lower bounds (required)")
+@click.option("--domain-hi", default=None, help="comma-separated public upper bounds (required)")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--noiseless", is_flag=True, help="test-only; output is NOT private")
 @click.option("--config", "config_path", type=click.Path(), default=None)
@@ -144,20 +144,13 @@ def cmd_spatial_build(**kw):
     points = spatial.load_points_csv(kw["input_path"])
     if points.size == 0:
         raise InputDataError(f"{kw['input_path']}: no points found")
-    if kw["domain_lo"] is not None and kw["domain_hi"] is not None:
-        domain = spatial.SpatialDomain(
-            _parse_vector(kw["domain_lo"], "domain-lo"),
-            _parse_vector(kw["domain_hi"], "domain-hi"),
-        )
-    elif kw["domain_lo"] is None and kw["domain_hi"] is None:
-        domain = spatial.infer_domain(points)
-        click.echo(
-            "NOTE: domain bounds inferred from the data; inferred bounds are "
-            "data-dependent and privacy-relevant. Prefer fixed public bounds.",
-            err=True,
-        )
-    else:
-        raise ParameterError("provide both --domain-lo and --domain-hi, or neither")
+    if kw["domain_lo"] is None or kw["domain_hi"] is None:
+        # bounds read off the points would release them, so they are public input
+        raise ParameterError("--domain-lo and --domain-hi are required (public bounds)")
+    domain = spatial.SpatialDomain(
+        _parse_vector(kw["domain_lo"], "domain-lo"),
+        _parse_vector(kw["domain_hi"], "domain-hi"),
+    )
     data = spatial.SpatialDataset(domain, points)
 
     d = domain.dims

@@ -43,7 +43,6 @@ __all__ = [
     "SequenceDataset",
     "build_private_pst",
     "estimate_string_count",
-    "exact_histograms",
     "generate_sequences",
     "load_pst",
     "load_sequences",
@@ -308,6 +307,8 @@ def pst_from_json_dict(doc: dict) -> Pst:
             hist = np.zeros(alphabet.size + 2, dtype=np.float64)
             for tok, cnt in entry["hist"].items():
                 hist[alphabet.id_of(tok)] = float(cnt)
+            if not (np.isfinite(hist).all() and (hist >= 0.0).all()):
+                raise InputDataError(f"node {nid}: histogram counts must be finite and >= 0")
         children = {
             alphabet.id_of(tok): int(cid) for tok, cid in entry["children"].items()
         }
@@ -373,26 +374,6 @@ def _positions(data: SequenceDataset):
     ids[closed, lens[closed] + 1] = END_ID
     rows, offsets = np.nonzero(np.arange(width) < (lens + closed)[:, None])
     return ids.reshape(-1), rows * width + offsets
-
-
-def exact_histograms(data: SequenceDataset, predictors) -> dict:
-    """Exact next-symbol histograms for the given predictor id-tuples.
-
-    A position's context is the start marker followed by the symbols before
-    it; the position lands in a predictor's histogram when the predictor is a
-    suffix of that context.  Intended for fixtures and small oracles.
-    """
-    width = data.alphabet.size + 2
-    out = {tuple(p): np.zeros(width, dtype=np.float64) for p in predictors}
-    for seq, is_open in zip(data.sequences, data.open_ended):
-        emitted = list(seq) if is_open else list(seq) + [END_ID]
-        for i, sym in enumerate(emitted, start=1):
-            ctx = (START_ID,) + tuple(seq[: i - 1])
-            for pred, hist in out.items():
-                m = len(pred)
-                if m <= len(ctx) and (m == 0 or ctx[-m:] == pred):
-                    hist[sym] += 1.0
-    return out
 
 
 def build_private_pst(
@@ -508,8 +489,11 @@ def build_private_pst(
 
 
 def _to_ids(pst: Pst, tokens):
+    """Ids of ``tokens``, each a token or an id; an id must be one the
+    alphabet assigns (``token_of`` rejects any other)."""
+    alphabet = pst.alphabet
     return [
-        t if isinstance(t, (int, np.integer)) else pst.alphabet.id_of(t)
+        alphabet.id_of(alphabet.token_of(t) if isinstance(t, (int, np.integer)) else t)
         for t in tokens
     ]
 

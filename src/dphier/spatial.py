@@ -40,7 +40,6 @@ __all__ = [
     "build_privtree",
     "build_simple_tree",
     "build_ug",
-    "infer_domain",
     "load_points_csv",
     "load_tree",
     "load_workload_csv",
@@ -76,9 +75,6 @@ class SpatialDomain:
     @property
     def dims(self) -> int:
         return len(self.lo)
-
-    def volume(self) -> float:
-        return float(np.prod([b - a for a, b in zip(self.lo, self.hi)]))
 
 
 @dataclass(frozen=True)
@@ -150,22 +146,17 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def volume(self) -> float:
-        return float(np.prod([b - a for a, b in zip(self.lo, self.hi)]))
-
 
 @dataclass
 class DecompTree:
     """A released decomposition: node arena plus build parameterization.
 
-    ``params`` is set for bias-decayed builds; ``params_info`` always carries
-    the four serialized keys (epsilon, lambda, theta, delta), with ``None``
-    where a builder has no such notion.
+    ``params_info`` carries the four serialized keys (epsilon, lambda, theta,
+    delta), with ``None`` where a builder has no such notion.
     """
 
     nodes: list
     fanout: int
-    params: PrivacyParams | None = None
     params_info: dict = field(default_factory=dict)
     root: int = 0
     _arrays: _TreeArrays | None = field(default=None, repr=False, compare=False)
@@ -180,9 +171,6 @@ class DecompTree:
 
     def leaves(self):
         return [v for v in self.nodes if v.is_leaf]
-
-    def invalidate_caches(self) -> None:
-        self._arrays = None
 
     def to_json_dict(self) -> dict:
         """Serializable release form; refuses to leak exact counts."""
@@ -384,7 +372,7 @@ def build_privtree(
         "theta": params.theta,
         "delta": params.delta,
     }
-    return DecompTree(nodes=nodes, fanout=fanout, params=params, params_info=info)
+    return DecompTree(nodes=nodes, fanout=fanout, params_info=info)
 
 
 def build_simple_tree(
@@ -394,7 +382,6 @@ def build_simple_tree(
     h: int,
     rng: np.random.Generator | None = None,
     *,
-    dims_per_level: int | None = None,
     noiseless: bool = False,
 ) -> DecompTree:
     """Fixed-height noisy decomposition: every node carries a noisy count.
@@ -410,7 +397,7 @@ def build_simple_tree(
         raise ParameterError(f"lam must be positive, got {lam!r}")
     if not noiseless and rng is None:
         raise ParameterError("rng is required unless noiseless=True")
-    dims_per_level = _resolve_dims_per_level(data, dims_per_level)
+    d = data.domain.dims
 
     def rule(depth, level, counts):
         c_hat = counts.astype(np.float64)
@@ -420,9 +407,9 @@ def build_simple_tree(
             node.noisy_count = c
         return (c_hat > theta) & (depth < h - 1)
 
-    nodes = _grow(data, dims_per_level, rule)
+    nodes = _grow(data, d, rule)
     info = {"epsilon": None, "lambda": float(lam), "theta": float(theta), "delta": None}
-    return DecompTree(nodes=nodes, fanout=1 << dims_per_level, params_info=info)
+    return DecompTree(nodes=nodes, fanout=1 << d, params_info=info)
 
 
 def build_ug(
@@ -516,7 +503,7 @@ def attach_noisy_counts(
         noisy += sample_laplace(1.0 / epsilon_counts, rng, size=noisy.size)
     for nid, c in zip(ids, noisy.tolist()):
         tree.node(nid).noisy_count = c
-    tree.invalidate_caches()
+    tree._arrays = None
     tree._grid = None  # grid fast-path cache would now be stale
     return tree
 
@@ -819,23 +806,6 @@ def _detect_grid(tree: DecompTree):
             return None
         counts[mi] = child.noisy_count
     return {"edges": edges, "counts": counts}
-
-
-def infer_domain(points: np.ndarray, pad: float = 1e-9) -> SpatialDomain:
-    """Bounding-box domain of a point set.
-
-    The upper bound is nudged above the max so points satisfy the half-open
-    convention.  NOTE: inferring the domain from the data is itself
-    data-dependent and hence privacy-relevant; prefer fixed, public bounds.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise InputDataError("cannot infer a domain from an empty point set")
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    hi = hi + pad * span
-    return SpatialDomain(lo=tuple(lo), hi=tuple(hi))
 
 
 def _parse_csv_floats(path, expected_fields=None):

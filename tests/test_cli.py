@@ -89,18 +89,24 @@ class TestSpatialBuild:
         assert res1.exit_code == res2.exit_code == 0
         assert blob1 == out2.read_bytes()
 
-    def test_inferred_domain_warns(self, runner, tmp_path, points_csv):
+    @pytest.mark.parametrize(
+        "bounds", [[], ["--domain-lo", "0,0"], ["--domain-hi", "1,1"]]
+    )
+    def test_domain_bounds_are_required(self, runner, tmp_path, points_csv, bounds):
+        out = tmp_path / "t.json"
         res = runner.invoke(
             main,
             [
                 "spatial-build",
                 "--input", str(points_csv),
-                "--output", str(tmp_path / "t.json"),
+                "--output", str(out),
                 "--epsilon", "1.0",
+                *bounds,
             ],
         )
-        assert res.exit_code == 0
-        assert "privacy-relevant" in res.output
+        assert res.exit_code == 1
+        assert "--domain-lo and --domain-hi are required" in res.output
+        assert not out.exists()
 
     def test_config_file_overrides_flags(self, runner, tmp_path, points_csv):
         cfg = tmp_path / "cfg.json"
@@ -285,6 +291,15 @@ class TestSequenceCommands:
         )
         assert res.exit_code == 0
         assert json.loads(out.read_text()) == [{"string": ["A"], "estimate": 6.0}]
+
+    def test_bad_histogram_count_is_input_error(self, runner, tmp_path, sequences_txt):
+        _, pst = self.build_pst(runner, tmp_path, sequences_txt)
+        doc = json.loads(pst.read_text())
+        doc["nodes"][0]["hist"]["A"] = float("nan")
+        pst.write_text(json.dumps(doc))  # Python's json writes NaN
+        res = runner.invoke(main, ["seq-topk", "--pst", str(pst), "--k", "1"])
+        assert res.exit_code == 2
+        assert "histogram counts must be finite and >= 0" in res.output
 
     def test_pst_byte_identical_under_seed(self, runner, tmp_path, sequences_txt):
         res1, pst = self.build_pst(runner, tmp_path, sequences_txt)

@@ -338,6 +338,12 @@ class TestLongestSuffixNode:
         with pytest.raises(ParameterError):
             longest_suffix_node(pst, ["A"])
 
+    @pytest.mark.parametrize("bad", [-1, 4, 99, np.int64(-3)])
+    def test_unknown_symbol_id_rejected(self, worked_example_data, bad):
+        pst = build_worked_example_pst(worked_example_data)
+        with pytest.raises(InputDataError, match=f"unknown symbol id {bad}"):
+            longest_suffix_node(pst, [START_ID, bad])
+
 
 class TestEstimateStringCount:
     def test_single_symbol(self, worked_example_data):
@@ -366,6 +372,22 @@ class TestEstimateStringCount:
             estimate_string_count(pst, [END_TOKEN, "A"])
         with pytest.raises(ParameterError):
             estimate_string_count(pst, [])
+
+    @pytest.mark.parametrize("bad", [-1, 4, 99, np.int64(-3)])
+    def test_unknown_symbol_id_rejected(self, worked_example_data, bad):
+        pst = build_worked_example_pst(worked_example_data)
+        with pytest.raises(InputDataError, match=f"unknown symbol id {bad}"):
+            estimate_string_count(pst, [bad])
+        with pytest.raises(InputDataError, match=f"unknown symbol id {bad}"):
+            estimate_string_count(pst, [pst.alphabet.id_of("A"), bad])
+
+    def test_symbol_ids_match_tokens(self, worked_example_data):
+        pst = build_worked_example_pst(worked_example_data)
+        ids = [pst.alphabet.id_of(t) for t in ("A", "A", "B", END_TOKEN)]
+        assert estimate_string_count(pst, ids) == estimate_string_count(
+            pst, ["A", "A", "B", END_TOKEN]
+        )
+        assert estimate_string_count(pst, [np.int64(ids[0])]) == 6.0
 
     def test_matches_direct_suffix_chain_oracle(self, worked_example_data):
         pst = build_worked_example_pst(worked_example_data)
@@ -759,6 +781,14 @@ class TestLoadValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(InputDataError):
             markov.load_pst(path)
+
+    @pytest.mark.parametrize("count", [-2.0, float("nan"), float("inf"), float("-inf")])
+    def test_bad_histogram_counts_rejected(self, worked_example_data, count):
+        doc = build_private_pst(worked_example_data, 1.0, noiseless=True).to_json_dict()
+        leaf = next(e for e in doc["nodes"] if not e["children"])
+        leaf["hist"][END_TOKEN] = count
+        with pytest.raises(InputDataError, match="histogram counts must be finite and >= 0"):
+            markov.pst_from_json_dict(doc)
 
     def test_child_must_extend_parent_predictor(self, worked_example_data):
         doc = build_private_pst(worked_example_data, 1.0, noiseless=True).to_json_dict()

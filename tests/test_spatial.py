@@ -899,12 +899,6 @@ class TestFileFormats:
         with pytest.raises(InputDataError, match="node 2: lo and hi"):
             spatial.tree_from_json_dict(doc)
 
-    def test_infer_domain_contains_points(self):
-        rng = np.random.default_rng(5)
-        pts = rng.random((100, 3)) * 10 - 5
-        dom = spatial.infer_domain(pts)
-        SpatialDataset(dom, pts)  # validation passes
-
     def test_domain_validation(self):
         with pytest.raises(ParameterError):
             SpatialDomain((0.0, 0.0), (1.0, 0.0))

@@ -12,7 +12,6 @@ from dphier.dp_core import laplace_cdf, laplace_pdf, laplace_sf
 from dphier.errors import ParameterError, QuadratureError
 from dphier.svt_audit import (
     AuditScenario,
-    SvtConfig,
     binary_svt,
     binary_svt_log_ratio,
     improved_audit_battery,
@@ -67,6 +66,69 @@ def outcome(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except (ParameterError, QuadratureError) as exc:
         return type(exc).__name__, str(exc)
+
+
+def _reference_noise(scale, rng, noiseless):
+    return 0.0 if noiseless else dp_core.sample_laplace(scale, rng)
+
+
+def reference_binary_svt(dataset, queries, theta, lam, rng=None, *, noiseless=False):
+    """binary_svt as one loop of its own, the reference for the shared loop."""
+    theta_hat = theta + _reference_noise(lam, rng, noiseless)
+    out = []
+    for q in queries:
+        q_hat = q(dataset) + _reference_noise(lam, rng, noiseless)
+        out.append(1 if q_hat > theta_hat else 0)
+    return out
+
+
+def reference_vanilla_svt(dataset, queries, theta, lam, t, rng=None, *, noiseless=False):
+    theta_hat = theta + _reference_noise(lam, rng, noiseless)
+    out = []
+    released = 0
+    for q in queries:
+        q_hat = q(dataset) + _reference_noise(t * lam, rng, noiseless)
+        if q_hat > theta_hat:
+            out.append(float(q_hat))
+            released += 1
+            if released >= t:
+                break
+        else:
+            out.append(None)
+    return out
+
+
+def reference_reduced_svt(dataset, queries, theta, lam, t, rng=None, *, noiseless=False):
+    theta_hat = theta + _reference_noise(t * lam, rng, noiseless)
+    out = []
+    ones = 0
+    for q in queries:
+        q_hat = q(dataset) + _reference_noise(t * lam, rng, noiseless)
+        if q_hat > theta_hat:
+            out.append(1)
+            theta_hat = theta + _reference_noise(t * lam, rng, noiseless)
+            ones += 1
+            if ones >= t:
+                break
+        else:
+            out.append(0)
+    return out
+
+
+def reference_improved_svt(dataset, queries, theta, lam, t, rng=None, *, noiseless=False):
+    theta_hat = theta + _reference_noise(lam, rng, noiseless)
+    out = []
+    ones = 0
+    for q in queries:
+        q_hat = q(dataset) + _reference_noise(t * lam, rng, noiseless)
+        if q_hat > theta_hat:
+            out.append(1)
+            ones += 1
+            if ones >= t:
+                break
+        else:
+            out.append(0)
+    return out
 
 
 class CountingRng:
@@ -154,11 +216,48 @@ class TestTraces:
         with pytest.raises(ParameterError):
             improved_svt(D1, [QA], 0.0, 1.0, 1)  # rng required
 
-    def test_config_validation(self):
-        with pytest.raises(ParameterError):
-            SvtConfig(threshold=0.0, lam=1.0, t=0)
-        cfg = SvtConfig(threshold=1.0, lam=2.0, t=3, k=16)
-        assert cfg.k == 16
+
+TOKENS = ("a", "b", "c")
+
+
+@st.composite
+def trace_streams(draw):
+    """A token dataset, a count-query stream and the trace parameters."""
+    dataset = tuple(draw(st.lists(st.sampled_from(TOKENS), max_size=6)))
+    tokens = draw(st.lists(st.sampled_from(TOKENS), max_size=12))
+    queries = [token_count_query(tok) for tok in tokens]
+    theta = draw(st.floats(-2.0, 4.0))
+    lam = draw(st.one_of(st.sampled_from([0.25, 1.0, 2.0]), st.floats(0.05, 5.0)))
+    return dataset, queries, theta, lam, draw(st.integers(1, 4))
+
+
+class TestSharedTraceLoop:
+    """Every variant returns what its own loop returned and moves the
+    generator by exactly the same draws."""
+
+    @given(
+        stream=trace_streams(),
+        seed=st.integers(0, 2**32 - 1),
+        noiseless=st.booleans(),
+        variant=st.sampled_from(["binary", "vanilla", "reduced", "improved"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_trace(self, stream, seed, noiseless, variant):
+        dataset, queries, theta, lam, t = stream
+        fn, ref = {
+            "binary": (binary_svt, reference_binary_svt),
+            "vanilla": (vanilla_svt, reference_vanilla_svt),
+            "reduced": (reduced_svt, reference_reduced_svt),
+            "improved": (improved_svt, reference_improved_svt),
+        }[variant]
+        args = (dataset, queries, theta, lam) if variant == "binary" else (
+            dataset, queries, theta, lam, t
+        )
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = fn(*args, rng, noiseless=noiseless)
+        want = ref(*args, ref_rng, noiseless=noiseless)
+        assert repr(got) == repr(want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestCountQueries:
