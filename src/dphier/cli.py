@@ -211,8 +211,7 @@ def cmd_range_query(**kw):
             _write_text(kw["output_path"], _dump_json(doc))
         return
     points = spatial.load_points_csv(kw["data_path"])
-    root = tree.node(tree.root)
-    data = spatial.SpatialDataset(spatial.SpatialDomain(root.lo, root.hi), points)
+    data = spatial.SpatialDataset(tree.domain, points)
     report = evalbench.evaluate_queries(
         tree, data, queries, delta=kw["delta"], label=Path(kw["tree_path"]).name
     )

@@ -281,24 +281,35 @@ def grow_levels(n_items: int, fanout: int, decide, child_codes) -> None:
         depth += 1
 
 
-def check_tree_links(size: int, root: int, links) -> None:
+def check_tree_links(size: int, root: int, parents, children, extends) -> None:
     """Raise InputDataError unless node links form one tree under ``root``.
 
-    ``links`` yields ``(parent, child, extends)`` triples, where ``extends``
-    says the child sits one level below its parent (depth plus one, or a
-    context one symbol longer).  The root must have no parent and every other
-    node exactly one; with levels strictly increasing along links, that rules
-    out cycles and makes every node reachable from the root.
+    Link ``l`` goes from node ``parents[l]`` to node ``children[l]``;
+    ``extends[l]`` says the child sits one level below its parent (depth plus
+    one, or a context one symbol longer).  The root must have no parent and
+    every other node exactly one; with levels strictly increasing along
+    links, that rules out cycles and makes every node reachable from the
+    root.  The first failing link in the given order is reported, then the
+    first unreachable node by id.
     """
-    parent = [-1] * size
-    for p, c, extends in links:
+    parents = np.asarray(parents, dtype=np.int64)
+    children = np.asarray(children, dtype=np.int64)
+    extends = np.asarray(extends, dtype=bool)
+    order = np.argsort(children, kind="stable")
+    again = np.zeros(children.size, dtype=bool)  # the child has an earlier link
+    again[order[1:]] = children[order[1:]] == children[order[:-1]]
+    bad = np.flatnonzero((children == root) | again | ~extends)
+    if bad.size:
+        link = int(bad[0])
+        p, c = int(parents[link]), int(children[link])
         if c == root:
             raise InputDataError(f"root node {root} is listed as a child of node {p}")
-        if parent[c] >= 0:
-            raise InputDataError(f"node {c} has two parents ({parent[c]} and {p})")
-        if not extends:
-            raise InputDataError(f"node {c} is not one level below its parent {p}")
-        parent[c] = p
-    for c, p in enumerate(parent):
-        if p < 0 and c != root:
-            raise InputDataError(f"node {c} is not reachable from the root")
+        if again[link]:
+            earlier = int(parents[np.flatnonzero(children == c)[0]])
+            raise InputDataError(f"node {c} has two parents ({earlier} and {p})")
+        raise InputDataError(f"node {c} is not one level below its parent {p}")
+    orphan = np.ones(size, dtype=bool)
+    orphan[children] = False
+    orphan[root] = False
+    if orphan.any():
+        raise InputDataError(f"node {int(np.argmax(orphan))} is not reachable from the root")

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputDataError, ParameterError
-from .spatial import DecompTree, RangeQuery, SpatialDataset, SpatialDomain, range_counts
+from .spatial import _PAIR_BUDGET, DecompTree, RangeQuery, SpatialDataset, SpatialDomain
+from .spatial import range_counts
 
 __all__ = [
     "EvalReport",
@@ -67,16 +68,18 @@ def gen_workload(domain: SpatialDomain, spec: WorkloadSpec, rng=None):
     d = domain.dims
     lo = np.asarray(domain.lo)
     span = np.asarray(domain.hi) - lo
-    out = []
-    for _ in range(spec.count):
-        vf = float(np.exp(rng.uniform(np.log(lo_frac), np.log(hi_frac))))
-        w = rng.random(d) + 1e-12
-        sides = vf ** (w / w.sum())  # product of per-dim fractions equals vf
-        offs = rng.random(d) * (1.0 - sides)
-        qlo = lo + offs * span
-        qhi = lo + (offs + sides) * span
-        out.append(RangeQuery(lo=tuple(qlo), hi=tuple(qhi)))
-    return out
+    # one row per query: the volume draw, then d aspect and d offset draws,
+    # the order in which per-query uniform(), random(d), random(d) calls
+    # would consume the stream
+    u = rng.random((spec.count, 1 + 2 * d))
+    log_lo, log_hi = np.log(lo_frac), np.log(hi_frac)
+    vf = np.exp(log_lo + (log_hi - log_lo) * u[:, :1])
+    w = u[:, 1 : 1 + d] + 1e-12
+    sides = vf ** (w / w.sum(axis=1, keepdims=True))  # per-dim fractions, product vf
+    offs = u[:, 1 + d :] * (1.0 - sides)
+    qlo = lo + offs * span
+    qhi = lo + (offs + sides) * span
+    return [RangeQuery(lo=tuple(a), hi=tuple(b)) for a, b in zip(qlo.tolist(), qhi.tolist())]
 
 
 def relative_error(estimate: float, exact: float, delta: float) -> float:
@@ -132,30 +135,155 @@ def exact_range_count(data: SpatialDataset, q: RangeQuery) -> int:
     return int(mask.sum())
 
 
-def exact_range_counts(data: SpatialDataset, queries) -> np.ndarray:
-    """Batch ground truth; presorts one axis to prefilter candidates.
+def _cell_index(data: SpatialDataset):
+    """(edges, first, columns) of a uniform grid of ``m**d`` cells over the
+    domain, with ``m**d`` at most ``min(n, _PAIR_BUDGET)``: per-dimension
+    cell edges, the CSR offsets of each cell's points, and the coordinates
+    (d x n) with the points sorted by cell in C order, so cell ``c`` holds
+    points ``first[c]`` to ``first[c + 1] - 1``.
 
-    Same membership rule as :func:`exact_range_count` (equality is covered by
-    a property test), just fast enough for ten-thousand-query workloads.
-    """
+    A point's cell in each dimension is the last edge not above it, found by
+    comparison, so every point of cell ``c`` lies in ``[e[c], e[c + 1])``
+    exactly.  Edges are forced non-decreasing from ``lo`` to ``hi``, which
+    only matters when a domain's width overflows."""
     pts = data.points
-    if pts.shape[0] == 0:
-        return np.zeros(len(queries), dtype=np.int64)
-    order = np.argsort(pts[:, 0], kind="stable")
-    sorted_pts = pts[order]
-    col0 = sorted_pts[:, 0]
-    out = np.empty(len(queries), dtype=np.int64)
-    for i, q in enumerate(queries):
-        if q.dims != data.domain.dims:
-            raise InputDataError("query dimensionality does not match the dataset")
-        a = np.searchsorted(col0, q.lo[0], side="left")
-        b = np.searchsorted(col0, q.hi[0], side="left")
-        cand = sorted_pts[a:b]
-        mask = np.ones(cand.shape[0], dtype=bool)
-        for j in range(1, q.dims):
-            mask &= (cand[:, j] >= q.lo[j]) & (cand[:, j] < q.hi[j])
-        out[i] = int(mask.sum())
+    n, d = pts.shape
+    cap = max(1, min(n, _PAIR_BUDGET))
+    m = max(1, int(cap ** (1.0 / d)))
+    while (m + 1) ** d <= cap:
+        m += 1
+    while m**d > cap:
+        m -= 1
+    # cell ids stay below m**d <= 2**16, and a stable sort of 16-bit keys is
+    # a radix sort
+    edges, cell = [], np.zeros(n, dtype=np.min_scalar_type(m**d - 1))
+    for j, (lo, hi) in enumerate(zip(data.domain.lo, data.domain.hi)):
+        e = np.linspace(lo, hi, m + 1)
+        e[0], e[-1] = lo, hi
+        e = np.fmax.accumulate(np.fmin(e, hi))
+        edges.append(e)
+        cell *= m
+        cell += np.searchsorted(e, pts[:, j], side="right").astype(cell.dtype) - 1
+    order = np.argsort(cell, kind="stable")
+    first = np.zeros(m**d + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell, minlength=m**d), out=first[1:])
+    cols = np.empty((d, n))
+    for j in range(d):
+        pts[:, j].take(order, out=cols[j])
+    return edges, first, cols
+
+
+def _expand(sizes: np.ndarray):
+    """Enumerate ``(item, offset)`` for every ``offset < sizes[item]``, item by
+    item, in chunks of at most ``_PAIR_BUDGET`` pairs."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, _PAIR_BUDGET):
+        hi = min(lo + _PAIR_BUDGET, total)
+        i0 = int(np.searchsorted(ends, lo, side="right"))
+        i1 = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        starts = ends[i0:i1] - sizes[i0:i1]
+        part = np.minimum(ends[i0:i1], hi) - np.maximum(starts, lo)
+        yield (
+            np.repeat(np.arange(i0, i1), part),
+            np.arange(lo, hi) - np.repeat(starts, part),
+        )
+
+
+def exact_range_counts(data: SpatialDataset, queries) -> np.ndarray:
+    """Batch ground truth with the membership rule of :func:`exact_range_count`.
+
+    The points are indexed once by the cells of a uniform grid.  In each
+    dimension a query touches a range of cells and covers a subrange of them
+    fully.  The box of fully covered cells holds only points inside the
+    query, counted from prefix sums; the rest of the touched box splits into
+    at most 2d slabs, whose points get the exact ``[lo, hi)`` test.  A slab
+    is a set of runs of consecutive cells along the last dimension, so each
+    run is one slice of the sorted points.  Queries, runs and tested points
+    are handled in chunks of at most ``_PAIR_BUDGET``, so memory beyond the
+    index stays bounded whatever the workload.
+    """
+    queries = list(queries)
+    d = data.domain.dims
+    if any(q.dims != d for q in queries):
+        raise InputDataError("query dimensionality does not match the dataset")
+    out = np.zeros(len(queries), dtype=np.int64)
+    if not queries or data.n == 0:
+        return out
+    edges, first, cols = _cell_index(data)
+    m = edges[0].size - 1
+    stride = m ** np.arange(d - 1, -1, -1)
+    qlo = np.array([q.lo for q in queries])
+    qhi = np.array([q.hi for q in queries])
+    # touched cells [s, t) and fully covered cells [a, b), with s <= a <= b <= t;
+    # a dimension covering no cell fully gets a = b = t, so the slabs below
+    # still tile the touched box
+    s, t, a, b = (np.empty(qlo.shape, dtype=np.int64) for _ in range(4))
+    for j, e in enumerate(edges):
+        s[:, j] = np.maximum(np.searchsorted(e, qlo[:, j], side="right") - 1, 0)
+        t[:, j] = np.clip(np.searchsorted(e, qhi[:, j], side="left"), s[:, j], m)
+        a[:, j] = np.clip(np.searchsorted(e, qlo[:, j], side="left"), s[:, j], t[:, j])
+        b[:, j] = np.clip(np.searchsorted(e, qhi[:, j], side="right") - 1, a[:, j], t[:, j])
+    empty = b == a
+    a[empty] = b[empty] = t[empty]
+    out += _covered_counts(first, m, a, b)
+    step = max(1, _PAIR_BUDGET // (2 * d * d))
+    for q0 in range(0, len(queries), step):
+        rows = slice(q0, q0 + step)
+        bounds = qlo[rows].T.copy(), qhi[rows].T.copy()
+        out[rows] += _slab_counts(first, cols, stride, *bounds, s[rows], t[rows], a[rows], b[rows])
     return out
+
+
+def _covered_counts(first: np.ndarray, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Points in the cell boxes ``[a, b)`` (one row per query), by
+    inclusion-exclusion over the corners of a d-dimensional prefix sum; an
+    empty range in any dimension makes the corners cancel."""
+    q, d = a.shape
+    prefix = np.zeros((m + 1,) * d, dtype=np.int64)
+    prefix[(slice(1, None),) * d] = np.diff(first).reshape((m,) * d)
+    for axis in range(d):
+        np.cumsum(prefix, axis=axis, out=prefix)
+    stride = (m + 1) ** np.arange(d - 1, -1, -1)
+    flat = prefix.ravel()
+    total = np.zeros(q, dtype=np.int64)
+    for corner in range(1 << d):
+        upper = (corner >> np.arange(d)) & 1
+        sign = -1 if (d - int(upper.sum())) % 2 else 1
+        total += sign * flat[np.where(upper, b, a) @ stride]
+    return total
+
+
+def _slab_counts(first, cols, stride, qlo, qhi, s, t, a, b) -> np.ndarray:
+    """Points inside each query among those of its touched but not fully
+    covered cells.  Slab ``j`` takes the covered range in dimensions before
+    ``j`` (where its points need no test), the part below ``a`` or from
+    ``b`` on in dimension ``j``, and the touched range after it."""
+    d, q = qlo.shape
+    counts = np.zeros(q, dtype=np.int64)
+    for j in range(d):
+        box_lo = np.concatenate([a[:, :j], s[:, j:]], axis=1).repeat(2, axis=0)
+        box_hi = np.concatenate([b[:, :j], t[:, j:]], axis=1).repeat(2, axis=0)
+        box_hi[0::2, j] = a[:, j]  # part below the covered range
+        box_lo[1::2, j] = b[:, j]  # part from its end on
+        size = box_hi - box_lo
+        runs = np.prod(size[:, :-1], axis=1) * (size[:, -1] > 0)
+        for box, k in _expand(runs):
+            cell = box_lo[box, -1]
+            for i in range(d - 2, -1, -1):  # the run's cell, last dimension fastest
+                k, c = np.divmod(k, size[box, i])
+                cell += (box_lo[box, i] + c) * stride[i]
+            start, stop = first[cell], first[cell + size[box, -1]]
+            run_query = box // 2
+            for run, offset in _expand(stop - start):
+                point = start[run] + offset
+                query = run_query[run]
+                inside = np.ones(point.size, dtype=bool)
+                for i in range(j, d):
+                    x = cols[i].take(point)
+                    inside &= (x >= qlo[i].take(query)) & (x < qhi[i].take(query))
+                counts += np.bincount(query[inside], minlength=q)
+    return counts
 
 
 @dataclass

@@ -298,40 +298,47 @@ def pst_from_json_dict(doc: dict) -> Pst:
         raise InputDataError(f"malformed PST document: {exc}") from exc
     size = len(raw_nodes)
     nodes = [None] * size
-    for entry in raw_nodes:
-        nid = int(entry["id"])
-        if not 0 <= nid < size or nodes[nid] is not None:
-            raise InputDataError(f"bad or duplicate node id {nid}")
-        hist = None
-        if "hist" in entry:
-            hist = np.zeros(alphabet.size + 2, dtype=np.float64)
-            for tok, cnt in entry["hist"].items():
-                hist[alphabet.id_of(tok)] = float(cnt)
-            if not (np.isfinite(hist).all() and (hist >= 0.0).all()):
-                raise InputDataError(f"node {nid}: histogram counts must be finite and >= 0")
-        children = {
-            alphabet.id_of(tok): int(cid) for tok, cid in entry["children"].items()
-        }
-        if any(not 0 <= cid < size for cid in children.values()):
-            raise InputDataError(f"node {nid} references an unknown child id")
-        nodes[nid] = PstNode(
-            id=nid,
-            predictor=tuple(alphabet.id_of(t) for t in entry["predictor"]),
-            children=children,
-            hist=hist,
-        )
+    for k, entry in enumerate(raw_nodes):
+        try:
+            nid = int(entry["id"])
+            if not 0 <= nid < size or nodes[nid] is not None:
+                raise InputDataError(f"bad or duplicate node id {nid}")
+            hist = None
+            if "hist" in entry:
+                hist = np.zeros(alphabet.size + 2, dtype=np.float64)
+                for tok, cnt in entry["hist"].items():
+                    hist[alphabet.id_of(tok)] = float(cnt)
+                if not (np.isfinite(hist).all() and (hist >= 0.0).all()):
+                    raise InputDataError(f"node {nid}: histogram counts must be finite and >= 0")
+            children = {
+                alphabet.id_of(tok): int(cid) for tok, cid in entry["children"].items()
+            }
+            if any(not 0 <= cid < size for cid in children.values()):
+                raise InputDataError(f"node {nid} references an unknown child id")
+            nodes[nid] = PstNode(
+                id=nid,
+                predictor=tuple(alphabet.id_of(t) for t in entry["predictor"]),
+                children=children,
+                hist=hist,
+            )
+        except InputDataError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+            raise InputDataError(
+                f"node entry {k}: a field is missing or malformed ({type(exc).__name__}: {exc})"
+            ) from exc
     root = next((v.id for v in nodes if v is not None and not v.predictor), None)
     if root is None:
         raise InputDataError("PST document has no empty-predictor root")
-    check_tree_links(
-        size,
-        root,
-        (
+    links = np.array(
+        [
             (v.id, c, nodes[c].predictor == (sym,) + v.predictor)
             for v in nodes
             for sym, c in v.children.items()
-        ),
-    )
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    check_tree_links(size, root, links[:, 0], links[:, 1], links[:, 2] == 1)
     return Pst(
         nodes=nodes, alphabet=alphabet, l_max=l_max, params_info=params_info, root=root
     )

@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -147,24 +148,46 @@ class TreeNode:
         return not self.children
 
 
-@dataclass
 class DecompTree:
     """A released decomposition: node arena plus build parameterization.
 
     ``params_info`` carries the four serialized keys (epsilon, lambda, theta,
     delta), with ``None`` where a builder has no such notion.
+
+    Builders hold the nodes as :class:`TreeNode` objects, the loader as
+    :class:`_Columns`; each form is derived from the other on first use.
+    Code that changes nodes in place must drop the derived caches
+    (``_cols``, ``_arrays``, ``_grid``), as :func:`attach_noisy_counts` does.
     """
 
-    nodes: list
-    fanout: int
-    params_info: dict = field(default_factory=dict)
-    root: int = 0
-    _arrays: _TreeArrays | None = field(default=None, repr=False, compare=False)
-    _grid: dict | None = field(default=None, repr=False, compare=False)
+    def __init__(self, nodes, fanout: int, params_info: dict | None = None, root: int = 0):
+        self._nodes = nodes
+        self.fanout = fanout
+        self.params_info = {} if params_info is None else params_info
+        self.root = root
+        self._cols: _Columns | None = None
+        self._arrays: _TreeArrays | None = None
+        self._grid: dict | None = None
+
+    @property
+    def nodes(self) -> list:
+        if self._nodes is None:
+            self._nodes = _column_nodes(self._cols)
+        return self._nodes
 
     @property
     def dims(self) -> int:
+        if self._cols is not None:
+            return self._cols.lo.shape[1]
         return len(self.nodes[self.root].lo)
+
+    @property
+    def domain(self) -> SpatialDomain:
+        """The root's region."""
+        if self._cols is not None:
+            return SpatialDomain(self._cols.lo[self.root], self._cols.hi[self.root])
+        root = self.nodes[self.root]
+        return SpatialDomain(root.lo, root.hi)
 
     def node(self, nid: int) -> TreeNode:
         return self.nodes[nid]
@@ -503,7 +526,7 @@ def attach_noisy_counts(
         noisy += sample_laplace(1.0 / epsilon_counts, rng, size=noisy.size)
     for nid, c in zip(ids, noisy.tolist()):
         tree.node(nid).noisy_count = c
-    tree._arrays = None
+    tree._cols = tree._arrays = None
     tree._grid = None  # grid fast-path cache would now be stale
     return tree
 
@@ -511,6 +534,72 @@ def attach_noisy_counts(
 # ---------------------------------------------------------------------------
 # range counting
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """A tree as one array per node field, indexed by node id: ``depth``,
+    ``lo`` and ``hi`` (N x d), the children in CSR form (those of node ``i``
+    are ``kids[first[i]:first[i + 1]]``, in stored order), and ``count``,
+    which holds a node's noisy count where ``has_count`` is set and 0.0
+    elsewhere."""
+
+    depth: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    first: np.ndarray
+    kids: np.ndarray
+    count: np.ndarray
+    has_count: np.ndarray
+
+
+def _csr_first(n_kids: np.ndarray) -> np.ndarray:
+    first = np.zeros(n_kids.size + 1, dtype=np.int64)
+    np.cumsum(n_kids, out=first[1:])
+    return first
+
+
+def _uniform_fanout(first: np.ndarray) -> int:
+    """The number of children when every internal node has the same number,
+    else 0."""
+    n_kids = np.diff(first)
+    sizes = np.unique(n_kids[n_kids > 0])
+    return int(sizes[0]) if sizes.size == 1 else 0
+
+
+def _node_columns(nodes: list) -> _Columns:
+    n = len(nodes)
+    first = _csr_first(np.fromiter((len(v.children) for v in nodes), np.int64, n))
+    has_count = np.fromiter((v.noisy_count is not None for v in nodes), bool, n)
+    return _Columns(
+        depth=np.fromiter((v.depth for v in nodes), np.int64, n),
+        lo=np.array([v.lo for v in nodes], dtype=np.float64),
+        hi=np.array([v.hi for v in nodes], dtype=np.float64),
+        first=first,
+        kids=np.fromiter((c for v in nodes for c in v.children), np.int64, int(first[-1])),
+        count=np.array([v.noisy_count if h else 0.0 for v, h in zip(nodes, has_count)]),
+        has_count=has_count,
+    )
+
+
+def _column_nodes(cols: _Columns) -> list:
+    lo, hi, count = cols.lo.tolist(), cols.hi.tolist(), cols.count.tolist()
+    depth, first, kids = cols.depth.tolist(), cols.first.tolist(), cols.kids.tolist()
+    return [
+        TreeNode(
+            id=i, depth=depth[i], lo=tuple(lo[i]), hi=tuple(hi[i]),
+            children=kids[first[i] : first[i + 1]],
+            noisy_count=count[i] if has else None,
+        )
+        for i, has in enumerate(cols.has_count.tolist())
+    ]
+
+
+def _columns(tree: DecompTree) -> _Columns:
+    """The tree's columns, derived from its nodes on first use."""
+    if tree._cols is None:
+        tree._cols = _node_columns(tree.nodes)
+    return tree._cols
 
 
 @dataclass(frozen=True)
@@ -523,26 +612,30 @@ class _TreeArrays:
     query contains it (its own noisy count, or the sum of its leaves' counts
     when it carries none), and the box ``[lo, -hi]`` again for internal
     nodes but ``+inf`` for leaves (2d), against which a query can never cut
-    a leaf.  The children of node ``i`` are ``kids[first[i]:first[i + 1]]``
-    in stored order, and ``fanout`` is their number when every internal node
-    has the same number (else 0)."""
+    a leaf.  ``first`` and ``kids`` are the CSR children of
+    :class:`_Columns`, and ``fanout`` is the number of children when every
+    internal node has the same number (else 0)."""
 
     table: np.ndarray
     first: np.ndarray
     kids: np.ndarray
     fanout: int
 
-
-def _child_table(nodes: list):
-    """(first, kids, fanout) of :class:`_TreeArrays`."""
-    n_kids = np.fromiter((len(v.children) for v in nodes), np.int64, len(nodes))
-    first = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(n_kids, out=first[1:])
-    kids = np.fromiter(
-        (c for v in nodes for c in v.children), np.int64, int(first[-1])
-    )
-    sizes = np.unique(n_kids[n_kids > 0])
-    return first, kids, int(sizes[0]) if sizes.size == 1 else 0
+    @classmethod
+    def from_columns(cls, cols: _Columns, root: int) -> _TreeArrays:
+        lo, hi = cols.lo.T, cols.hi.T
+        neg_width = lo - hi
+        if not np.isfinite(neg_width).all():
+            raise InputDataError("every region must have a finite width")
+        count = _column_sums(cols, root)
+        n_kids = np.diff(cols.first)
+        own = (n_kids > 0) & cols.has_count
+        count[own] = cols.count[own]
+        box = np.vstack([lo, -hi])
+        inner_box = np.where(n_kids > 0, box, np.inf)
+        # take() copies a non-contiguous source on every call
+        table = np.ascontiguousarray(np.vstack([box, neg_width, count, inner_box]))
+        return cls(table, cols.first, cols.kids, _uniform_fanout(cols.first))
 
 
 def _children(first, kids, fanout, parents):
@@ -573,19 +666,18 @@ def _fold(values, k):
     return out
 
 
-def _subtree_sums(tree: DecompTree) -> np.ndarray:
+def _column_sums(cols: _Columns, root: int) -> np.ndarray:
     """Sum of the leaves' noisy counts under every node, indexed by node id;
     an internal node adds its children one at a time, in stored order."""
-    if any(v.is_leaf and v.noisy_count is None for v in tree.nodes):
+    first, kids = cols.first, cols.kids
+    if not cols.has_count[first[1:] == first[:-1]].all():
         raise InputDataError(
             "tree has no noisy counts attached; run attach_noisy_counts first"
         )
-    first, kids, fanout = _child_table(tree.nodes)
-    sums = np.array(
-        [0.0 if v.noisy_count is None else v.noisy_count for v in tree.nodes]
-    )
+    sums = cols.count.copy()
+    fanout = _uniform_fanout(first)
     levels = []
-    level = np.array([tree.root])
+    level = np.array([root])
     while level.size:
         inner = level[first[level + 1] > first[level]]
         level, k = _children(first, kids, fanout, inner)
@@ -595,26 +687,15 @@ def _subtree_sums(tree: DecompTree) -> np.ndarray:
     return sums
 
 
+def _subtree_sums(tree: DecompTree) -> np.ndarray:
+    return _column_sums(_columns(tree), tree.root)
+
+
 def _tree_arrays(tree: DecompTree) -> _TreeArrays:
     """The tree's cached array view, built on first use after counts are
     attached (:func:`attach_noisy_counts` drops it)."""
     if tree._arrays is None:
-        lo = np.array([v.lo for v in tree.nodes], dtype=np.float64).T
-        hi = np.array([v.hi for v in tree.nodes], dtype=np.float64).T
-        neg_width = lo - hi
-        if not np.isfinite(neg_width).all():
-            raise InputDataError("every region must have a finite width")
-        count = _subtree_sums(tree)
-        own = [
-            i for i, v in enumerate(tree.nodes) if v.children and v.noisy_count is not None
-        ]
-        count[own] = [tree.nodes[i].noisy_count for i in own]
-        first, kids, fanout = _child_table(tree.nodes)
-        box = np.vstack([lo, -hi])
-        inner_box = np.where(first[1:] > first[:-1], box, np.inf)
-        # take() copies a non-contiguous source on every call
-        table = np.ascontiguousarray(np.vstack([box, neg_width, count, inner_box]))
-        tree._arrays = _TreeArrays(table, first, kids, fanout)
+        tree._arrays = _TreeArrays.from_columns(_columns(tree), tree.root)
     return tree._arrays
 
 
@@ -729,50 +810,186 @@ def range_count(tree: DecompTree, q: RangeQuery) -> float:
 # ---------------------------------------------------------------------------
 
 
+_NODE_FIELDS = ("id", "depth", "lo", "hi", "children", "noisy_count")
+
+
+def _node_field(entry, key):
+    """One field of a node entry, converted as the tree format defines it."""
+    if key in ("lo", "hi"):
+        return tuple(float(v) for v in entry[key])
+    if key == "children":
+        return [int(c) for c in entry[key]]
+    if key == "noisy_count":
+        return float(entry[key]) if key in entry else None
+    return int(entry[key])
+
+
+def _field_column(raw: list, key: str, stop: int):
+    """(column, k, exc): field ``key`` of every entry, and the first entry
+    ``k < stop`` whose value does not convert, with its exception (``stop``
+    and None when there is none).
+
+    The whole column is read with ``np.fromiter``, whose conversions agree
+    with :func:`_node_field` wherever both succeed on a finite value.  When
+    that fails or meets a non-finite float (``np.fromiter`` reads ``None``
+    as NaN), the entries up to ``stop`` are converted one at a time, and
+    integers are then kept as Python objects, as large as the document's.
+    A column is an array (id, depth), row lengths and rows (lo, hi), child
+    counts and the flat child list (children), or the has-count mask and
+    counts with 0.0 for the missing ones (noisy_count)."""
+    n = len(raw)
+    column = None
+    try:
+        if key == "noisy_count":
+            has = np.fromiter((key in e for e in raw), bool, n)
+            values = np.fromiter([e[key] for e in raw if key in e], np.float64)
+            if np.isfinite(values).all():
+                count = np.zeros(n)
+                count[has] = values
+                column = has, count
+        elif key == "children":
+            lists = [e[key] for e in raw]
+            n_kids = np.fromiter(map(len, lists), np.int64, n)
+            column = n_kids, np.fromiter(chain.from_iterable(lists), np.int64)
+        elif key in ("lo", "hi"):
+            rows = [e[key] for e in raw]
+            size = np.fromiter(map(len, rows), np.int64, n)
+            flat = np.fromiter(chain.from_iterable(rows), np.float64)
+            if np.isfinite(flat).all() and (size == (size[0] if n else 0)).all():
+                column = size, flat.reshape(n, -1) if n else flat.reshape(0, 0)
+        else:
+            column = np.fromiter([e[key] for e in raw], np.int64, n)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    if column is not None:
+        return column, stop, None
+    values, k, exc = [], stop, None
+    for i in range(stop):
+        try:
+            values.append(_node_field(raw[i], key))
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            k, exc = i, err
+            break
+    if key == "noisy_count":
+        has = np.array([v is not None for v in values], dtype=bool)
+        column = has, np.array([0.0 if v is None else v for v in values])
+    elif key == "children":
+        flat = [c for kids in values for c in kids]
+        column = np.array([len(v) for v in values], dtype=np.int64), np.array(flat, dtype=object)
+    elif key in ("lo", "hi"):
+        column = np.array([len(v) for v in values], dtype=np.int64), values
+    else:
+        column = np.array(values, dtype=object)
+    return column, k, exc
+
+
+def _doc_columns(raw: list):
+    """The node entries in document order as (ids, :class:`_Columns`),
+    after every per-entry check.
+
+    Raises InputDataError for the first defective entry in document order,
+    and within it for the first defect in field order, then in the order of
+    the checks below: the error a reader taking one entry at a time would
+    report.  Each check looks only at the entries before the earliest
+    defect found so far."""
+    n = len(raw)
+    stop, error = n, None
+    got = {}
+    for key in _NODE_FIELDS:
+        got[key], k, exc = _field_column(raw, key, stop)
+        if exc is not None:
+            stop = k
+            error = (
+                f"node entry {k}: field {key!r} is missing or malformed "
+                f"({type(exc).__name__}: {exc})"
+            )
+
+    def check(bad, message):
+        nonlocal stop, error
+        hits = np.flatnonzero(bad[:stop])
+        if hits.size:
+            stop = int(hits[0])
+            error = message(stop)
+
+    ids = got["id"]
+    in_range = (ids >= 0) & (ids < n)
+    idx = np.where(in_range, ids, 0).astype(np.int64)
+    order = np.argsort(idx[:stop], kind="stable")
+    repeat = np.zeros(stop, dtype=bool)
+    repeat[order[1:]] = idx[order[1:]] == idx[order[:-1]]
+    check(~in_range[:stop] | repeat, lambda k: f"bad or duplicate node id {ids[k]}")
+
+    (lo_len, lo), (hi_len, hi) = got["lo"], got["hi"]
+    dims = int(lo_len[0]) if stop else 0
+    check(
+        (dims == 0) | (lo_len[:stop] != dims) | (hi_len[:stop] != dims),
+        lambda k: f"node {ids[k]}: lo and hi must have as many entries as in every node",
+    )
+    lo = np.asarray(lo[:stop], dtype=np.float64).reshape(stop, dims)
+    hi = np.asarray(hi[:stop], dtype=np.float64).reshape(stop, dims)
+    has_count, count = got["noisy_count"]
+    finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+    check(
+        ~finite | ~(np.isfinite(count[:stop]) | ~has_count[:stop]),
+        lambda k: f"node {ids[k]}: lo, hi and noisy_count must be finite",
+    )
+
+    n_kids, kids = got["children"]
+    first = _csr_first(n_kids[:stop])
+    owner = np.repeat(np.arange(stop), n_kids[:stop])
+    unknown = np.zeros(stop, dtype=bool)
+    unknown[owner[(kids[: first[-1]] < 0) | (kids[: first[-1]] >= n)]] = True
+    check(unknown, lambda k: f"node {ids[k]} references an unknown child id")
+
+    if stop < n:
+        raise InputDataError(error)
+    cols = _Columns(
+        depth=got["depth"], lo=lo, hi=hi, first=first, kids=kids.astype(np.int64),
+        count=count, has_count=has_count,
+    )
+    return idx, cols
+
+
+def _by_id(ids: np.ndarray, cols: _Columns) -> _Columns:
+    """Document-order columns reordered so that row ``i`` is node ``i``."""
+    if (ids == np.arange(ids.size)).all():
+        return cols
+    pos = np.empty_like(ids)
+    pos[ids] = np.arange(ids.size)
+    n_kids = np.diff(cols.first)[pos]
+    first = _csr_first(n_kids)
+    gather = np.repeat(cols.first[pos] - first[:-1], n_kids) + np.arange(first[-1])
+    return _Columns(
+        depth=cols.depth[pos], lo=cols.lo[pos], hi=cols.hi[pos], first=first,
+        kids=cols.kids[gather], count=cols.count[pos], has_count=cols.has_count[pos],
+    )
+
+
 def tree_from_json_dict(doc: dict) -> DecompTree:
+    """A tree from its document, validated column by column; builds no
+    :class:`TreeNode` objects (see :class:`DecompTree`)."""
     try:
         fanout = int(doc["fanout"])
         params_info = dict(doc["params"])
         raw_nodes = doc["nodes"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"malformed tree document: {exc}") from exc
-    nodes = [None] * len(raw_nodes)
-    root = dims = None
-    for entry in raw_nodes:
-        node = TreeNode(
-            id=int(entry["id"]),
-            depth=int(entry["depth"]),
-            lo=tuple(float(v) for v in entry["lo"]),
-            hi=tuple(float(v) for v in entry["hi"]),
-            children=[int(c) for c in entry["children"]],
-            noisy_count=(
-                float(entry["noisy_count"]) if "noisy_count" in entry else None
-            ),
-        )
-        if not 0 <= node.id < len(raw_nodes) or nodes[node.id] is not None:
-            raise InputDataError(f"bad or duplicate node id {node.id}")
-        dims = len(node.lo) if dims is None else dims
-        if not dims or len(node.lo) != dims or len(node.hi) != dims:
-            raise InputDataError(
-                f"node {node.id}: lo and hi must have as many entries as in every node"
-            )
-        values = node.lo + node.hi + (() if node.noisy_count is None else (node.noisy_count,))
-        if not all(map(math.isfinite, values)):
-            raise InputDataError(f"node {node.id}: lo, hi and noisy_count must be finite")
-        if any(not 0 <= c < len(raw_nodes) for c in node.children):
-            raise InputDataError(f"node {node.id} references an unknown child id")
-        nodes[node.id] = node
-        if node.depth == 0:
-            root = node.id
-    if root is None:
+    if not isinstance(raw_nodes, list):
+        raise InputDataError("malformed tree document: nodes must be a list")
+    ids, cols = _doc_columns(raw_nodes)
+    zero = np.flatnonzero(cols.depth == 0)
+    if not zero.size:
         raise InputDataError("tree document has no depth-0 root node")
+    root = int(ids[zero[-1]])  # the last depth-0 entry in document order
+    cols = _by_id(ids, cols)
+    parents = np.repeat(np.arange(ids.size), np.diff(cols.first))
     check_tree_links(
-        len(nodes),
-        root,
-        ((v.id, c, nodes[c].depth == v.depth + 1) for v in nodes for c in v.children),
+        ids.size, root, parents, cols.kids, cols.depth[cols.kids] == cols.depth[parents] + 1
     )
-    tree = DecompTree(nodes=nodes, fanout=fanout, params_info=params_info, root=root)
-    tree._grid = _detect_grid(tree)
+    cols = replace(cols, depth=cols.depth.astype(np.int64))
+    tree = DecompTree(None, fanout, params_info, root)
+    tree._cols = cols
+    tree._grid = _detect_grid(cols, root, fanout)
     return tree
 
 
@@ -785,27 +1002,30 @@ def load_tree(path) -> DecompTree:
     return tree_from_json_dict(doc)
 
 
-def _detect_grid(tree: DecompTree):
-    """Re-tag uniform grids after deserialization so queries stay fast."""
-    root = tree.node(tree.root)
-    if root.is_leaf or len(tree.nodes) != len(root.children) + 1:
+def _detect_grid(cols: _Columns, root: int, fanout: int):
+    """Re-tag a uniform grid after loading so queries stay fast: a root whose
+    ``fanout == m**d`` children, all leaves with counts, are the only other
+    nodes and are the cells of the ``linspace`` grid of the root, in C
+    order."""
+    kids = cols.kids[cols.first[root] : cols.first[root + 1]]
+    if not kids.size or kids.size != fanout or cols.depth.size != kids.size + 1:
         return None
-    d = tree.dims
-    m = round(tree.fanout ** (1.0 / d))
-    if m**d != tree.fanout or len(root.children) != tree.fanout:
+    d = cols.lo.shape[1]
+    m = round(fanout ** (1.0 / d))
+    if m**d != fanout:
         return None
-    edges = [np.linspace(root.lo[j], root.hi[j], m + 1) for j in range(d)]
-    counts = np.empty((m,) * d, dtype=np.float64)
-    for k, mi in enumerate(np.ndindex(counts.shape)):
-        child = tree.node(root.children[k])
-        exp_lo = tuple(float(edges[j][mi[j]]) for j in range(d))
-        exp_hi = tuple(float(edges[j][mi[j] + 1]) for j in range(d))
-        if not child.is_leaf or child.lo != exp_lo or child.hi != exp_hi:
-            return None
-        if child.noisy_count is None:
-            return None
-        counts[mi] = child.noisy_count
-    return {"edges": edges, "counts": counts}
+    edges = [np.linspace(cols.lo[root, j], cols.hi[root, j], m + 1) for j in range(d)]
+    cell = np.indices((m,) * d).reshape(d, -1)
+    grid_lo = np.stack([e[c] for e, c in zip(edges, cell)], axis=1)
+    grid_hi = np.stack([e[c + 1] for e, c in zip(edges, cell)], axis=1)
+    if not (
+        cols.has_count[kids].all()
+        and (cols.first[kids + 1] == cols.first[kids]).all()
+        and (cols.lo[kids] == grid_lo).all()
+        and (cols.hi[kids] == grid_hi).all()
+    ):
+        return None
+    return {"edges": edges, "counts": cols.count[kids].reshape((m,) * d)}
 
 
 def _parse_csv_floats(path, expected_fields=None):

@@ -434,6 +434,29 @@ class TestLoadValidation:
         assert res.exit_code == 2
         assert "root node 0 is listed as a child" in res.output
 
+    def test_seq_topk_on_node_entry_without_predictor_is_input_error(self, runner, tmp_path):
+        pst = tmp_path / "pst.json"
+        pst.write_text(json.dumps(
+            {"alphabet": ["A"], "l_max": 3, "params": {}, "nodes": [{"id": 0, "children": {}}]}
+        ))
+        res = runner.invoke(main, ["seq-topk", "--pst", str(pst), "--k", "1"])
+        assert res.exit_code == 2, res.output
+        assert "node entry 0" in res.output and "'predictor'" in res.output
+
+    def test_range_query_on_non_numeric_bound_is_input_error(self, runner, tmp_path, points_csv):
+        _, tree = build_tree(runner, tmp_path, points_csv)
+        doc = json.loads(tree.read_text())
+        doc["nodes"][1]["hi"] = ["x", 1]
+        tree.write_text(json.dumps(doc))
+        wl = tmp_path / "wl.csv"
+        wl.write_text("0,0,1,1\n")
+        res = runner.invoke(
+            main, ["range-query", "--tree", str(tree), "--workload", str(wl),
+                   "--data", str(points_csv)]
+        )
+        assert res.exit_code == 2, res.output
+        assert "node entry 1: field 'hi'" in res.output and "'x'" in res.output
+
 
 def refuse_pool(*args, **kwargs):
     raise AssertionError("a process pool was created")

@@ -1,12 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dphier import spatial
+from dphier import evalbench, spatial
 from dphier.dp_core import privtree_params
-from dphier.errors import ParameterError
+from dphier.errors import InputDataError, ParameterError
 from dphier.evalbench import (
+    SIZE_CLASSES,
     EvalReport,
     WorkloadSpec,
     evaluate_queries,
@@ -215,3 +217,118 @@ class TestDirectionalAccuracy:
             1 for s in range(10) if median_re(4.0, 1000 + s) < median_re(0.25, 2000 + s)
         )
         assert wins >= 8
+
+
+def per_query_workload(domain, spec, rng):
+    """gen_workload as a loop drawing each query with its own uniform(),
+    random(d) and random(d) calls."""
+    lo_frac, hi_frac = SIZE_CLASSES[spec.size_class]
+    d = domain.dims
+    lo = np.asarray(domain.lo)
+    span = np.asarray(domain.hi) - lo
+    out = []
+    for _ in range(spec.count):
+        vf = float(np.exp(rng.uniform(np.log(lo_frac), np.log(hi_frac))))
+        w = rng.random(d) + 1e-12
+        sides = vf ** (w / w.sum())
+        offs = rng.random(d) * (1.0 - sides)
+        out.append(RangeQuery(lo=tuple(lo + offs * span), hi=tuple(lo + (offs + sides) * span)))
+    return out
+
+
+class TestWorkloadDraws:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_one_draw_matches_per_query_draws(self, d):
+        domain = SpatialDomain(tuple(np.linspace(-1.0, 0.0, d)), tuple(np.linspace(1.0, 3.0, d)))
+        for size_class in SIZE_CLASSES:
+            for seed in range(5):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = gen_workload(domain, WorkloadSpec(size_class, count=200), rng)
+                want = per_query_workload(domain, WorkloadSpec(size_class, count=200), ref)
+                assert got == want
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def index_edges(n, d):
+    """The cell edges the ground-truth index puts over the unit box for n points."""
+    return evalbench._cell_index(SpatialDataset(SpatialDomain((0.0,) * d, (1.0,) * d), np.zeros((n, d))))[0][0]
+
+
+def awkward_points(rng, n, d):
+    """Points on cell edges and the lower face, duplicates and a tight cluster."""
+    edges = index_edges(n, d)[:-1]
+    on_edges = rng.choice(edges, size=(n // 4, d))
+    on_edges[: n // 16, 0] = 0.0
+    dupes = np.repeat(rng.random((4, d)), n // 16, axis=0)
+    cluster = np.clip(0.3 + 0.002 * rng.standard_normal((n // 4, d)), 0.0, 1.0 - 1e-9)
+    rest = rng.random((n - len(on_edges) - len(dupes) - len(cluster), d))
+    return np.vstack([on_edges, dupes, cluster, rest])
+
+
+def awkward_queries(rng, n, d):
+    edges = index_edges(n, d)
+    boxes = []
+    for _ in range(60):
+        a, b = np.sort(rng.choice(edges, size=(2, d)), axis=0)
+        boxes.append(RangeQuery(tuple(a), tuple(b)))  # bounds on cell edges
+        boxes.append(RangeQuery(tuple(a), tuple(a)))  # zero width
+        c = rng.uniform(-0.5, 1.5, size=(2, d))
+        boxes.append(RangeQuery(tuple(c.min(axis=0)), tuple(c.max(axis=0))))  # reaching outside
+    boxes.append(RangeQuery((0.0,) * d, (1.0,) * d))
+    boxes.append(RangeQuery((-np.inf,) * d, (np.inf,) * d))
+    boxes.append(RangeQuery((0.3,) * d, (0.3 + 1e-3,) * d))  # inside the cluster
+    for size_class in SIZE_CLASSES:
+        boxes += gen_workload(SpatialDomain((0.0,) * d, (1.0,) * d), WorkloadSpec(size_class, 40), rng)
+    return boxes
+
+
+class TestExactRangeCountsIndex:
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("n", [1, 37, 2000])
+    def test_equals_brute_force(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        domain = SpatialDomain((0.0,) * d, (1.0,) * d)
+        data = SpatialDataset(domain, awkward_points(rng, n, d) if n > 16 else rng.random((n, d)))
+        queries = awkward_queries(rng, data.n, d)
+        got = exact_range_counts(data, queries)
+        assert got.tolist() == [exact_range_count(data, q) for q in queries]
+
+    def test_empty_dataset_and_dimension_check(self, unit_square):
+        data = SpatialDataset(unit_square, np.empty((0, 2)))
+        queries = [RangeQuery((0.0, 0.0), (1.0, 1.0)), RangeQuery((0.2, 0.2), (0.2, 0.2))]
+        assert exact_range_counts(data, queries).tolist() == [0, 0]
+        assert exact_range_counts(data, []).tolist() == []
+        with pytest.raises(InputDataError):
+            exact_range_counts(data, [RangeQuery((0.0,), (1.0,))])
+
+    def test_workload_larger_than_the_block_budget(self):
+        # 4-d blocks hold _PAIR_BUDGET // 32 queries, and the one dense cell
+        # the last queries cut holds more than _PAIR_BUDGET points
+        rng = np.random.default_rng(9)
+        d = 4
+        pts = np.vstack([rng.random((3000, d)), np.full((spatial._PAIR_BUDGET + 500, d), 0.5)])
+        data = SpatialDataset(SpatialDomain((0.0,) * d, (1.0,) * d), pts)
+        queries = gen_workload(data.domain, WorkloadSpec("large", count=2100), rng)
+        queries += [RangeQuery((0.49999,) * d, (0.7,) * d), RangeQuery((0.5,) * d, (0.50001,) * d)]
+        got = exact_range_counts(data, queries)
+        assert got.tolist() == [exact_range_count(data, q) for q in queries]
+        assert got[-1] == spatial._PAIR_BUDGET + 500 <= got[-2]
+
+    def test_peak_memory_is_bounded(self):
+        rng = np.random.default_rng(5)
+        d = 4
+        centers = rng.random((8, d))
+        pts = centers[rng.integers(0, 8, 100_000)] + rng.normal(0.0, 0.03, (100_000, d))
+        data = SpatialDataset(SpatialDomain((0.0,) * d, (1.0,) * d), np.clip(pts, 0.0, 1.0 - 1e-9))
+        queries = []
+        for size_class in SIZE_CLASSES:
+            queries += gen_workload(data.domain, WorkloadSpec(size_class, count=200), rng)
+        tracemalloc.start()
+        try:
+            exact_range_counts(data, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the index holds a sorted copy of the points (3.2 MB); chunks of
+        # _PAIR_BUDGET candidates add a few MB whatever the workload
+        assert peak < 16 * 2**20

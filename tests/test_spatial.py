@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -1149,3 +1150,325 @@ class TestLoadValidation:
         mutate(doc)
         with pytest.raises(InputDataError, match=message):
             spatial.tree_from_json_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# column-wise loading against the per-node reference loader
+# ---------------------------------------------------------------------------
+
+
+def reference_check_tree_links(size, root, links):
+    """The link check as a loop over ``(parent, child, extends)`` triples."""
+    parent = [-1] * size
+    for p, c, extends in links:
+        if c == root:
+            raise InputDataError(f"root node {root} is listed as a child of node {p}")
+        if parent[c] >= 0:
+            raise InputDataError(f"node {c} has two parents ({parent[c]} and {p})")
+        if not extends:
+            raise InputDataError(f"node {c} is not one level below its parent {p}")
+        parent[c] = p
+    for c, p in enumerate(parent):
+        if p < 0 and c != root:
+            raise InputDataError(f"node {c} is not reachable from the root")
+
+
+def reference_detect_grid(tree):
+    """Grid re-tagging with one comparison per cell."""
+    root = tree.node(tree.root)
+    if root.is_leaf or len(tree.nodes) != len(root.children) + 1:
+        return None
+    d = tree.dims
+    if len(root.children) != tree.fanout:
+        return None
+    m = round(tree.fanout ** (1.0 / d))
+    if m**d != tree.fanout:
+        return None
+    edges = [np.linspace(root.lo[j], root.hi[j], m + 1) for j in range(d)]
+    counts = np.empty((m,) * d, dtype=np.float64)
+    for k, mi in enumerate(np.ndindex(counts.shape)):
+        child = tree.node(root.children[k])
+        exp_lo = tuple(float(edges[j][mi[j]]) for j in range(d))
+        exp_hi = tuple(float(edges[j][mi[j] + 1]) for j in range(d))
+        if not child.is_leaf or child.lo != exp_lo or child.hi != exp_hi:
+            return None
+        if child.noisy_count is None:
+            return None
+        counts[mi] = child.noisy_count
+    return {"edges": edges, "counts": counts}
+
+
+def reference_tree_from_json_dict(doc):
+    """The loader that built one TreeNode per entry, in document order; a
+    node entry whose field does not convert raises InputDataError."""
+    try:
+        fanout = int(doc["fanout"])
+        params_info = dict(doc["params"])
+        raw_nodes = doc["nodes"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputDataError(f"malformed tree document: {exc}") from exc
+    if not isinstance(raw_nodes, list):
+        raise InputDataError("malformed tree document: nodes must be a list")
+    nodes = [None] * len(raw_nodes)
+    root = dims = None
+    for k, entry in enumerate(raw_nodes):
+
+        def field(key, convert):
+            try:
+                return convert(entry)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise InputDataError(
+                    f"node entry {k}: field {key!r} is missing or malformed "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
+
+        node = TreeNode(
+            id=field("id", lambda e: int(e["id"])),
+            depth=field("depth", lambda e: int(e["depth"])),
+            lo=field("lo", lambda e: tuple(float(v) for v in e["lo"])),
+            hi=field("hi", lambda e: tuple(float(v) for v in e["hi"])),
+            children=field("children", lambda e: [int(c) for c in e["children"]]),
+            noisy_count=field(
+                "noisy_count",
+                lambda e: float(e["noisy_count"]) if "noisy_count" in e else None,
+            ),
+        )
+        if not 0 <= node.id < len(raw_nodes) or nodes[node.id] is not None:
+            raise InputDataError(f"bad or duplicate node id {node.id}")
+        dims = len(node.lo) if dims is None else dims
+        if not dims or len(node.lo) != dims or len(node.hi) != dims:
+            raise InputDataError(
+                f"node {node.id}: lo and hi must have as many entries as in every node"
+            )
+        values = node.lo + node.hi + (() if node.noisy_count is None else (node.noisy_count,))
+        if not all(map(math.isfinite, values)):
+            raise InputDataError(f"node {node.id}: lo, hi and noisy_count must be finite")
+        if any(not 0 <= c < len(raw_nodes) for c in node.children):
+            raise InputDataError(f"node {node.id} references an unknown child id")
+        nodes[node.id] = node
+        if node.depth == 0:
+            root = node.id
+    if root is None:
+        raise InputDataError("tree document has no depth-0 root node")
+    reference_check_tree_links(
+        len(nodes),
+        root,
+        ((v.id, c, nodes[c].depth == v.depth + 1) for v in nodes for c in v.children),
+    )
+    tree = DecompTree(nodes=nodes, fanout=fanout, params_info=params_info, root=root)
+    tree._grid = reference_detect_grid(tree)
+    return tree
+
+
+_LOAD_KINDS = (
+    "privtree-1d", "privtree-2d", "privtree-3d", "privtree-4d", "round-robin-3d",
+    "simple", "grid", "no-counts",
+)
+
+
+def _load_fixture(kind, attach_seed=None):
+    """(data, tree) for one kind; ``attach_seed`` attaches counts with that
+    stream instead of the fixture's own."""
+    rng = np.random.default_rng(41)
+    d = {"privtree-1d": 1, "privtree-3d": 3, "privtree-4d": 4, "round-robin-3d": 3}.get(kind, 2)
+    data = random_dataset(np.random.default_rng(40 + d), n=600, d=d)
+    if kind == "simple":
+        tree = build_simple_tree(data, 4.0, 5.0, 5, rng)
+    elif kind == "grid":
+        tree = build_ug(data, 0.5, rng)
+    else:
+        dims_per_level = 1 if kind == "round-robin-3d" else d
+        params = privtree_params(1.0, 1 << dims_per_level, 0.0)
+        tree = build_privtree(data, params, rng, dims_per_level=dims_per_level)
+        if kind != "no-counts":
+            attach_noisy_counts(tree, data, 0.5, np.random.default_rng(42))
+    if attach_seed is not None:
+        attach_noisy_counts(tree, data, 0.5, np.random.default_rng(attach_seed))
+    return data, tree
+
+
+load_fixture = functools.cache(_load_fixture)
+
+
+def load_queries(d):
+    rng = np.random.default_rng(43)
+    lo = rng.random((30, d)) * 0.8
+    boxes = [RangeQuery(tuple(a), tuple(a + w)) for a, w in zip(lo, rng.random((30, d)) * 0.4)]
+    return boxes + [RangeQuery((0.0,) * d, (1.0,) * d), RangeQuery((0.5,) * d, (0.5,) * d)]
+
+
+Raised = collections.namedtuple("Raised", "cls message")
+
+
+def outcome(fn, *args):
+    """What a call returns, or the class and message of what it raises."""
+    try:
+        return fn(*args)
+    except InputDataError as exc:
+        return Raised(type(exc), str(exc))
+
+
+odd_value = st.sampled_from(
+    [None, True, [], {}, "x", "", "0.5", "1", 1.0, 1.5, -1, 10**30, math.nan, math.inf,
+     -math.inf, [0.25], [[0.25]]]
+)
+
+
+@st.composite
+def mutated_tree_docs(draw):
+    """(kind, doc, mutated): a built tree's document, sometimes with
+    permuted ids, and zero to two defects or odd values."""
+    kind = draw(st.sampled_from(_LOAD_KINDS))
+    doc = json.loads(load_fixture(kind)[1].dumps())
+    nodes = doc["nodes"]
+    n = len(nodes)
+    if draw(st.booleans()):
+        perm = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(n).tolist()
+        for entry in nodes:
+            entry["id"] = perm[entry["id"]]
+            entry["children"] = [perm[c] for c in entry["children"]]
+        if draw(st.booleans()):
+            nodes.reverse()
+    mutations = draw(st.lists(st.integers(0, 12), max_size=2))
+    for m in mutations:
+        entry = nodes[draw(st.integers(0, n - 1))]
+        other_id = nodes[draw(st.integers(0, n - 1))].get("id", 0)
+        key = draw(st.sampled_from(["id", "depth", "lo", "hi", "children", "noisy_count"]))
+        value = entry.get(key)
+        kids = entry.get("children")
+        kids = kids if isinstance(kids, list) else []
+        if m == 0:  # missing key
+            entry.pop(key, None)
+        elif m == 1:  # wrong type, odd value or non-numeric string
+            entry[key] = draw(odd_value)
+        elif m == 2 and isinstance(value, list) and value:  # one odd element
+            value[draw(st.integers(0, len(value) - 1))] = draw(odd_value)
+        elif m == 3 and key in ("lo", "hi") and isinstance(value, list):  # ragged region
+            entry[key] = value[:-1] if draw(st.booleans()) else value + [0.5]
+        elif m == 4:  # bad or duplicate id
+            entry["id"] = draw(st.sampled_from([-1, n, other_id]))
+        elif m == 5:  # cycle: a node lists an ancestor, or the root, as a child
+            entry["children"] = kids + [other_id]
+        elif m == 6:  # two parents
+            taken = [c for e in nodes if isinstance(e.get("children"), list) for c in e["children"]]
+            if taken:
+                entry["children"] = kids + [draw(st.sampled_from(taken))]
+        elif m == 7 and isinstance(entry.get("depth"), int):  # wrong depth
+            entry["depth"] += draw(st.sampled_from([-1, 1, 2]))
+        elif m == 8 and kids:  # unreachable node
+            entry["children"] = kids[1:]
+        elif m == 9:  # no root
+            for e in nodes:
+                if e.get("depth") == 0:
+                    e["depth"] = 1
+        elif m == 10:  # count added or removed
+            if entry.pop("noisy_count", None) is None:
+                entry["noisy_count"] = 3.0
+        elif m == 11:  # numbers written another way, which the format accepts
+            if key in ("id", "depth") and isinstance(value, int):
+                entry[key] = float(value) if draw(st.booleans()) else str(value)
+            elif key in ("lo", "hi") and isinstance(value, list):
+                entry[key] = [repr(v) for v in value]
+        elif m == 12:  # nodes not a list of entries
+            doc["nodes"] = draw(st.sampled_from([{}, 3, [3], [[]]]))
+            break
+    return kind, doc, bool(mutations)
+
+
+def grids_equal(a, b):
+    if a is None or b is None:
+        return a is b
+    return (
+        len(a["edges"]) == len(b["edges"])
+        and all(x.tobytes() == y.tobytes() for x, y in zip(a["edges"], b["edges"]))
+        and a["counts"].tobytes() == b["counts"].tobytes()
+    )
+
+
+def answers(tree, queries):
+    return spatial.range_counts(tree, queries).tobytes()
+
+
+class TestColumnLoader:
+    @given(case=mutated_tree_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_same_tree_or_same_error_as_per_node_reference(self, case):
+        kind, doc, mutated = case
+        want = outcome(reference_tree_from_json_dict, json.loads(json.dumps(doc)))
+        got = outcome(spatial.tree_from_json_dict, json.loads(json.dumps(doc)))
+        if isinstance(want, Raised):
+            assert got == want
+            return
+        assert isinstance(got, DecompTree), got
+        assert got._nodes is None  # loading built no TreeNode objects
+        assert got.root == want.root and got.fanout == want.fanout
+        assert got.params_info == want.params_info and got.dims == want.dims
+        assert grids_equal(got._grid, want._grid)
+        queries = load_queries(want.dims)
+        assert outcome(answers, got, queries) == outcome(answers, want, queries)
+        assert trees_equal(got, want)
+        if not mutated:
+            built = load_fixture(kind)[1]
+            assert outcome(answers, got, queries) == outcome(answers, built, queries)
+
+    @pytest.mark.parametrize(
+        "kind, entry, key, index, value",
+        [
+            ("grid", -1, "hi", 0, 0.999),  # a cell off the linspace grid
+            ("grid", 1, "lo", 1, 0.001),
+            ("grid", 1, "children", None, []),  # same cells, fanout 1 short
+            ("privtree-2d", -1, "lo", None, [0.0]),  # ragged last entry
+            ("privtree-2d", 0, "hi", None, [1.0]),  # ragged first entry
+            ("privtree-2d", -1, "depth", None, 0),  # a second depth-0 entry
+            ("privtree-2d", -1, "noisy_count", None, None),  # null count
+        ],
+    )
+    def test_edge_entries_match_the_reference(self, kind, entry, key, index, value):
+        doc = json.loads(load_fixture(kind)[1].dumps())
+        if key == "children":
+            doc["fanout"] -= 1
+        elif index is None:
+            doc["nodes"][entry][key] = value
+        else:
+            doc["nodes"][entry][key][index] = value
+        want = outcome(reference_tree_from_json_dict, json.loads(json.dumps(doc)))
+        got = outcome(spatial.tree_from_json_dict, doc)
+        if isinstance(want, Raised):
+            assert got == want
+        else:
+            assert trees_equal(got, want) and grids_equal(got._grid, want._grid)
+
+    @pytest.mark.parametrize("kind", _LOAD_KINDS)
+    def test_attach_on_a_loaded_tree_matches_the_built_tree(self, kind):
+        data, tree = load_fixture(kind)
+        loaded = spatial.tree_from_json_dict(json.loads(tree.dumps()))
+        got = outcome(attach_noisy_counts, loaded, data, 0.5, np.random.default_rng(7))
+        want = outcome(_load_fixture, kind, 7)
+        if isinstance(want, Raised):  # a grid of more than two cells per side
+            assert got == want
+            return
+        built = want[1]
+        queries = load_queries(data.domain.dims)
+        assert answers(loaded, queries) == answers(built, queries)
+        assert trees_equal(loaded, built)
+
+    def test_query_path_builds_no_tree_nodes(self, monkeypatch):
+        data, tree = load_fixture("privtree-2d")
+        docs = [tree.to_json_dict(), load_fixture("grid")[1].to_json_dict()]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TreeNode was built")
+
+        monkeypatch.setattr(spatial, "TreeNode", refuse)
+        for doc in docs:
+            loaded = spatial.tree_from_json_dict(doc)
+            assert loaded.domain == data.domain
+            spatial.range_counts(loaded, load_queries(loaded.dims))
+            loaded._grid = None
+            spatial.range_counts(loaded, load_queries(loaded.dims))
+
+    def test_nodes_are_built_once_on_first_access(self):
+        loaded = spatial.tree_from_json_dict(load_fixture("simple")[1].to_json_dict())
+        assert loaded._nodes is None
+        assert loaded.nodes is loaded.nodes and loaded.node(3) is loaded.nodes[3]
+        assert len(loaded.leaves()) == len(load_fixture("simple")[1].leaves())
