@@ -154,9 +154,9 @@ def _cell_index(data: SpatialDataset):
         m += 1
     while m**d > cap:
         m -= 1
-    # cell ids stay below m**d <= 2**16, and a stable sort of 16-bit keys is
-    # a radix sort
-    edges, cell = [], np.zeros(n, dtype=np.min_scalar_type(m**d - 1))
+    # the ids' type must hold the factor m as well as the ids below m**d; for
+    # d >= 2 that is 16 bits, and a stable sort of 16-bit keys is a radix sort
+    edges, cell = [], np.zeros(n, dtype=np.min_scalar_type(max(m, m**d - 1)))
     for j, (lo, hi) in enumerate(zip(data.domain.lo, data.domain.hi)):
         e = np.linspace(lo, hi, m + 1)
         e[0], e[-1] = lo, hi
@@ -195,13 +195,14 @@ def exact_range_counts(data: SpatialDataset, queries) -> np.ndarray:
 
     The points are indexed once by the cells of a uniform grid.  In each
     dimension a query touches a range of cells and covers a subrange of them
-    fully.  The box of fully covered cells holds only points inside the
-    query, counted from prefix sums; the rest of the touched box splits into
-    at most 2d slabs, whose points get the exact ``[lo, hi)`` test.  A slab
-    is a set of runs of consecutive cells along the last dimension, so each
-    run is one slice of the sorted points.  Queries, runs and tested points
-    are handled in chunks of at most ``_PAIR_BUDGET``, so memory beyond the
-    index stays bounded whatever the workload.
+    fully.  The touched box is walked as rows: runs of consecutive cells
+    along the last dimension, each one slice of the sorted points.  Where a
+    row lies in the covered range of every other dimension, the points of its
+    covered cells are counted from the cell offsets alone; every other point
+    of the row is tested against the query's ``[lo, hi)``.  Rows and tested
+    points are handled in chunks of at most ``_PAIR_BUDGET``, so memory
+    beyond the index and the query bounds stays bounded whatever the
+    workload.
     """
     queries = list(queries)
     d = data.domain.dims
@@ -215,75 +216,42 @@ def exact_range_counts(data: SpatialDataset, queries) -> np.ndarray:
     stride = m ** np.arange(d - 1, -1, -1)
     qlo = np.array([q.lo for q in queries])
     qhi = np.array([q.hi for q in queries])
-    # touched cells [s, t) and fully covered cells [a, b), with s <= a <= b <= t;
-    # a dimension covering no cell fully gets a = b = t, so the slabs below
-    # still tile the touched box
+    # touched cells [s, t) and fully covered cells [a, b), with s <= a <= b <= t
     s, t, a, b = (np.empty(qlo.shape, dtype=np.int64) for _ in range(4))
     for j, e in enumerate(edges):
         s[:, j] = np.maximum(np.searchsorted(e, qlo[:, j], side="right") - 1, 0)
         t[:, j] = np.clip(np.searchsorted(e, qhi[:, j], side="left"), s[:, j], m)
         a[:, j] = np.clip(np.searchsorted(e, qlo[:, j], side="left"), s[:, j], t[:, j])
         b[:, j] = np.clip(np.searchsorted(e, qhi[:, j], side="right") - 1, a[:, j], t[:, j])
-    empty = b == a
-    a[empty] = b[empty] = t[empty]
-    out += _covered_counts(first, m, a, b)
-    step = max(1, _PAIR_BUDGET // (2 * d * d))
-    for q0 in range(0, len(queries), step):
-        rows = slice(q0, q0 + step)
-        bounds = qlo[rows].T.copy(), qhi[rows].T.copy()
-        out[rows] += _slab_counts(first, cols, stride, *bounds, s[rows], t[rows], a[rows], b[rows])
+    size = t - s
+    rows = np.prod(size[:, :-1], axis=1) * (size[:, -1] > 0)
+    qlo, qhi = qlo.T.copy(), qhi.T.copy()
+    for query, k in _expand(rows):
+        row = np.zeros(query.size, dtype=np.int64)
+        covered = np.ones(query.size, dtype=bool)
+        for i in range(d - 2, -1, -1):  # the row's cell, last dimension fastest
+            k, c = np.divmod(k, size[query, i])
+            c += s[query, i]
+            covered &= (c >= a[query, i]) & (c < b[query, i])
+            row += c * stride[i]
+        # cells [s, t) of the row split into tested [s, a), counted [a, b) and
+        # tested [b, t); a row outside the covered range counts nothing
+        lim = [first[row + np.where(covered, bound[query, -1], t[query, -1])] for bound in (a, b)]
+        out += np.bincount(query, lim[1] - lim[0], minlength=out.size).astype(np.int64)
+        start = np.concatenate([first[row + s[query, -1]], lim[1]])
+        stop = np.concatenate([lim[0], first[row + t[query, -1]]])
+        tested = np.flatnonzero(stop > start)
+        start, stop = start[tested], stop[tested]
+        tested = query[tested % query.size]
+        for seg, offset in _expand(stop - start):
+            point = start[seg] + offset
+            owner = tested[seg]
+            inside = np.ones(point.size, dtype=bool)
+            for i in range(d):
+                x = cols[i].take(point)
+                inside &= (x >= qlo[i].take(owner)) & (x < qhi[i].take(owner))
+            out += np.bincount(owner[inside], minlength=out.size)
     return out
-
-
-def _covered_counts(first: np.ndarray, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Points in the cell boxes ``[a, b)`` (one row per query), by
-    inclusion-exclusion over the corners of a d-dimensional prefix sum; an
-    empty range in any dimension makes the corners cancel."""
-    q, d = a.shape
-    prefix = np.zeros((m + 1,) * d, dtype=np.int64)
-    prefix[(slice(1, None),) * d] = np.diff(first).reshape((m,) * d)
-    for axis in range(d):
-        np.cumsum(prefix, axis=axis, out=prefix)
-    stride = (m + 1) ** np.arange(d - 1, -1, -1)
-    flat = prefix.ravel()
-    total = np.zeros(q, dtype=np.int64)
-    for corner in range(1 << d):
-        upper = (corner >> np.arange(d)) & 1
-        sign = -1 if (d - int(upper.sum())) % 2 else 1
-        total += sign * flat[np.where(upper, b, a) @ stride]
-    return total
-
-
-def _slab_counts(first, cols, stride, qlo, qhi, s, t, a, b) -> np.ndarray:
-    """Points inside each query among those of its touched but not fully
-    covered cells.  Slab ``j`` takes the covered range in dimensions before
-    ``j`` (where its points need no test), the part below ``a`` or from
-    ``b`` on in dimension ``j``, and the touched range after it."""
-    d, q = qlo.shape
-    counts = np.zeros(q, dtype=np.int64)
-    for j in range(d):
-        box_lo = np.concatenate([a[:, :j], s[:, j:]], axis=1).repeat(2, axis=0)
-        box_hi = np.concatenate([b[:, :j], t[:, j:]], axis=1).repeat(2, axis=0)
-        box_hi[0::2, j] = a[:, j]  # part below the covered range
-        box_lo[1::2, j] = b[:, j]  # part from its end on
-        size = box_hi - box_lo
-        runs = np.prod(size[:, :-1], axis=1) * (size[:, -1] > 0)
-        for box, k in _expand(runs):
-            cell = box_lo[box, -1]
-            for i in range(d - 2, -1, -1):  # the run's cell, last dimension fastest
-                k, c = np.divmod(k, size[box, i])
-                cell += (box_lo[box, i] + c) * stride[i]
-            start, stop = first[cell], first[cell + size[box, -1]]
-            run_query = box // 2
-            for run, offset in _expand(stop - start):
-                point = start[run] + offset
-                query = run_query[run]
-                inside = np.ones(point.size, dtype=bool)
-                for i in range(j, d):
-                    x = cols[i].take(point)
-                    inside &= (x >= qlo[i].take(query)) & (x < qhi[i].take(query))
-                counts += np.bincount(query[inside], minlength=q)
-    return counts
 
 
 @dataclass

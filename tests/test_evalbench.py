@@ -293,6 +293,34 @@ class TestExactRangeCountsIndex:
         got = exact_range_counts(data, queries)
         assert got.tolist() == [exact_range_count(data, q) for q in queries]
 
+    @pytest.mark.parametrize("n", [255, 256, 65536, 70000])
+    def test_one_dimension_at_the_cell_id_type_limits(self, n):
+        # a 1-d index has min(n, 2**16) cells, so 256 and 65,536 cells need
+        # ids wider than the 8 and 16 bits that hold the ids below them
+        rng = np.random.default_rng(n)
+        data = SpatialDataset(SpatialDomain((0.0,), (1.0,)), awkward_points(rng, n, 1))
+        queries = awkward_queries(rng, n, 1)
+        got = exact_range_counts(data, queries)
+        assert got.tolist() == [exact_range_count(data, q) for q in queries]
+
+    @pytest.mark.parametrize("d,n", [(16, 1 << 16), (20, 3000)])
+    def test_high_dimensions_stay_bounded(self, d, n):
+        # at d = 16 the index has two cells per dimension, at d = 20 only one;
+        # memory beyond the sorted copy of the points stays that of the chunks
+        rng = np.random.default_rng(d)
+        data = SpatialDataset(SpatialDomain((0.0,) * d, (1.0,) * d), rng.random((n, d)))
+        queries = [RangeQuery((0.0,) * d, (1.0,) * d), RangeQuery((0.5,) * d, (0.5,) * d)]
+        for size_class in SIZE_CLASSES:
+            queries += gen_workload(data.domain, WorkloadSpec(size_class, count=8), rng)
+        tracemalloc.start()
+        try:
+            got = exact_range_counts(data, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == [exact_range_count(data, q) for q in queries]
+        assert peak < data.points.nbytes + 16 * 2**20
+
     def test_empty_dataset_and_dimension_check(self, unit_square):
         data = SpatialDataset(unit_square, np.empty((0, 2)))
         queries = [RangeQuery((0.0, 0.0), (1.0, 1.0)), RangeQuery((0.2, 0.2), (0.2, 0.2))]
