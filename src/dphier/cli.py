@@ -178,7 +178,7 @@ def cmd_spatial_build(**kw):
     elapsed = time.perf_counter() - t0
     tree.save(kw["output_path"])
     click.echo(
-        f"built tree: {len(tree.nodes)} nodes, {len(tree.leaves())} leaves, "
+        f"built tree: {tree.n_nodes} nodes, {tree.n_leaves} leaves, "
         f"{elapsed:.3f}s; wrote {kw['output_path']}"
     )
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,15 +150,18 @@ class TreeNode:
 
 
 class DecompTree:
-    """A released decomposition: node arena plus build parameterization.
+    """A released decomposition: its nodes plus build parameterization.
 
     ``params_info`` carries the four serialized keys (epsilon, lambda, theta,
     delta), with ``None`` where a builder has no such notion.
 
-    Builders hold the nodes as :class:`TreeNode` objects, the loader as
-    :class:`_Columns`; each form is derived from the other on first use.
-    Code that changes nodes in place must drop the derived caches
-    (``_cols``, ``_arrays``, ``_grid``), as :func:`attach_noisy_counts` does.
+    The builders and the loader store the nodes as :class:`_Columns`, which
+    is what count attachment, serialization, comparison and queries read.
+    :class:`TreeNode` objects exist only once ``nodes``, ``node(i)`` or
+    ``leaves()`` is called, or when they are passed in as ``nodes``; from
+    then on the node list is the tree, and its columns are derived from it
+    on each read.  ``_arrays`` and ``_grid`` are query caches: code that
+    changes counts must drop them, as :func:`attach_noisy_counts` does.
     """
 
     def __init__(self, nodes, fanout: int, params_info: dict | None = None, root: int = 0):
@@ -173,21 +177,30 @@ class DecompTree:
     def nodes(self) -> list:
         if self._nodes is None:
             self._nodes = _column_nodes(self._cols)
+            self._cols = None
         return self._nodes
 
     @property
     def dims(self) -> int:
-        if self._cols is not None:
+        if self._nodes is None:
             return self._cols.lo.shape[1]
-        return len(self.nodes[self.root].lo)
+        return len(self._nodes[self.root].lo)
 
     @property
     def domain(self) -> SpatialDomain:
         """The root's region."""
-        if self._cols is not None:
+        if self._nodes is None:
             return SpatialDomain(self._cols.lo[self.root], self._cols.hi[self.root])
-        root = self.nodes[self.root]
+        root = self._nodes[self.root]
         return SpatialDomain(root.lo, root.hi)
+
+    @property
+    def n_nodes(self) -> int:
+        return _columns(self).depth.size
+
+    @property
+    def n_leaves(self) -> int:
+        return int(np.count_nonzero(np.diff(_columns(self).first) == 0))
 
     def node(self, nid: int) -> TreeNode:
         return self.nodes[nid]
@@ -197,23 +210,18 @@ class DecompTree:
 
     def to_json_dict(self) -> dict:
         """Serializable release form; refuses to leak exact counts."""
+        if self._nodes is not None and any(v.exact_count is not None for v in self._nodes):
+            raise InputDataError("tree still carries exact counts; refusing to serialize")
+        cols = _columns(self)
+        lo, hi, count = cols.lo.tolist(), cols.hi.tolist(), cols.count.tolist()
+        depth, first, kids = cols.depth.tolist(), cols.first.tolist(), cols.kids.tolist()
+        out_nodes = [
+            {"id": i, "depth": dep, "lo": lo_i, "hi": hi_i, "children": kids[a:b]}
+            for i, (dep, lo_i, hi_i, a, b) in enumerate(zip(depth, lo, hi, first, first[1:]))
+        ]
+        for i in np.flatnonzero(cols.has_count).tolist():
+            out_nodes[i]["noisy_count"] = count[i]
         keys = ("epsilon", "lambda", "theta", "delta")
-        out_nodes = []
-        for v in self.nodes:
-            if v.exact_count is not None:
-                raise InputDataError(
-                    "tree still carries exact counts; refusing to serialize"
-                )
-            entry = {
-                "id": v.id,
-                "depth": v.depth,
-                "lo": list(v.lo),
-                "hi": list(v.hi),
-                "children": list(v.children),
-            }
-            if v.noisy_count is not None:
-                entry["noisy_count"] = float(v.noisy_count)
-            out_nodes.append(entry)
         return {
             "fanout": self.fanout,
             "params": {k: self.params_info.get(k) for k in keys},
@@ -231,313 +239,18 @@ class DecompTree:
 
 def trees_equal(a: DecompTree, b: DecompTree) -> bool:
     """Exact structural equality (regions, depths, children, counts)."""
-    if a.fanout != b.fanout or len(a.nodes) != len(b.nodes) or a.root != b.root:
+    if a.fanout != b.fanout or a.root != b.root:
         return False
-    for va, vb in zip(a.nodes, b.nodes):
-        if (va.depth, va.lo, va.hi, list(va.children)) != (
-            vb.depth,
-            vb.lo,
-            vb.hi,
-            list(vb.children),
-        ):
-            return False
-        if (va.noisy_count is None) != (vb.noisy_count is None):
-            return False
-        if va.noisy_count is not None and va.noisy_count != vb.noisy_count:
-            return False
-    return True
+    # a missing count is stored as 0.0, so the count columns compare as a whole
+    return all(map(np.array_equal, _columns(a), _columns(b)))
 
 
 # ---------------------------------------------------------------------------
-# construction
+# column storage
 # ---------------------------------------------------------------------------
 
 
-def _dims_for_level(depth: int, d: int, dims_per_level: int) -> tuple:
-    """Dimensions bisected at this depth: all of them, or a round-robin window.
-
-    Always ascending, so child order can be reconstructed from regions alone
-    (see _split_geometry)."""
-    if dims_per_level == d:
-        return tuple(range(d))
-    return tuple(
-        sorted((depth * dims_per_level + j) % d for j in range(dims_per_level))
-    )
-
-
-def _child_regions(lo, hi, dims):
-    """All 2^len(dims) half-open sub-boxes, ordered by child code (bit j of the
-    code selects the upper half along dims[j])."""
-    mids = [(lo[j] + hi[j]) / 2.0 for j in dims]
-    out = []
-    for code in range(1 << len(dims)):
-        clo, chi = list(lo), list(hi)
-        for j, (dim, mid) in enumerate(zip(dims, mids)):
-            if (code >> j) & 1:
-                clo[dim] = mid
-            else:
-                chi[dim] = mid
-        out.append((tuple(clo), tuple(chi)))
-    return out
-
-
-def _resolve_dims_per_level(data: SpatialDataset, dims_per_level):
-    d = data.domain.dims
-    if dims_per_level is None:
-        return d
-    if not 1 <= dims_per_level <= d:
-        raise ParameterError(
-            f"dims_per_level must be in [1, {d}], got {dims_per_level!r}"
-        )
-    return int(dims_per_level)
-
-
-def _split_geometry(nodes: list, parents: list, fanout: int):
-    """(mids, code weights) of each parent's split, read from its first child:
-    the lower half along every dimension where its box differs from the
-    parent's.  Codes carry one bit per split dimension, in ascending order."""
-    lo = np.array([v.lo for v in parents])
-    hi = np.array([v.hi for v in parents])
-    first = [nodes[v.children[0]] for v in parents]
-    first_lo = np.array([v.lo for v in first])
-    first_hi = np.array([v.hi for v in first])
-    moved = (first_lo != lo) | (first_hi != hi)
-    n_kids = np.array([len(v.children) for v in parents])
-    bad = (n_kids != fanout) | (n_kids != 1 << moved.sum(axis=1))
-    if bad.any() or (moved & (first_lo != lo)).any():
-        raise InputDataError("tree children do not form a recognized bisection")
-    return first_hi, (moved << (np.cumsum(moved, axis=1) - moved)).astype(np.int32)
-
-
-def _walk(nodes: list, root: int, data: SpatialDataset, fanout: int, visit) -> None:
-    """Partition the points down a tree of TreeNodes, one level at a time.
-
-    ``visit(depth, level, counts)`` gets the level's nodes and exact point
-    counts and returns the split mask; a builder adds the splitting nodes'
-    children before returning, a replay finds them in place."""
-    level = [nodes[root]]
-
-    def decide(depth, sizes, items):
-        nonlocal level
-        split = visit(depth, level, sizes)
-        level = [v for v, s in zip(level, split) if s]
-        return split
-
-    def child_codes(depth, items, parent):
-        # level holds the splitting parents here; advance it to their children
-        nonlocal level
-        mids, weights = _split_geometry(nodes, level, fanout)
-        level = [nodes[c] for v in level for c in v.children]
-        code = np.zeros(items.size, dtype=np.int32)
-        for j in np.flatnonzero(weights.any(axis=0)):
-            code += (data.points[items, j] >= mids[parent, j]) * weights[parent, j]
-        return code
-
-    grow_levels(data.n, fanout, decide, child_codes)
-
-
-def _grow(data: SpatialDataset, dims_per_level: int, rule):
-    """Split loop of the recursive builders: ``rule(depth, level, counts)``
-    decides a whole level from its exact counts, so noise is drawn level by
-    level, in BFS order, on one stream."""
-    d = data.domain.dims
-    nodes = [TreeNode(id=0, depth=0, lo=data.domain.lo, hi=data.domain.hi)]
-
-    def visit(depth, level, counts):
-        split = rule(depth, level, counts)
-        dims = _dims_for_level(depth, d, dims_per_level)
-        for node, s in zip(level, split.tolist()):
-            if s:
-                for clo, chi in _child_regions(node.lo, node.hi, dims):
-                    node.children.append(len(nodes))
-                    nodes.append(TreeNode(id=len(nodes), depth=depth + 1, lo=clo, hi=chi))
-        return split
-
-    _walk(nodes, 0, data, 1 << dims_per_level, visit)
-    return nodes
-
-
-def build_privtree(
-    data: SpatialDataset,
-    params: PrivacyParams,
-    rng: np.random.Generator | None = None,
-    *,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-    dims_per_level: int | None = None,
-    noiseless: bool = False,
-) -> DecompTree:
-    """Grow a bias-decayed decomposition tree and release its structure only.
-
-    Each visited node's exact count is biased by ``depth * delta`` (floored at
-    ``theta - delta``), noised at scale ``params.lam``, and split when the
-    noisy score exceeds ``theta``.  Nodes at ``depth_cap`` never split and
-    draw no noise.  The returned tree has all point counts removed; attach
-    released counts with :func:`attach_noisy_counts`.
-    """
-    dims_per_level = _resolve_dims_per_level(data, dims_per_level)
-    fanout = 1 << dims_per_level
-    if params.beta != fanout:
-        raise ParameterError(
-            f"params.beta={params.beta} does not match fanout {fanout} "
-            f"(2^dims_per_level)"
-        )
-    if not noiseless and rng is None:
-        raise ParameterError("rng is required unless noiseless=True")
-
-    def rule(depth, level, counts):
-        eligible = np.full(counts.size, depth < depth_cap)
-        return biased_split(counts, depth, params, rng, eligible, noiseless)
-
-    nodes = _grow(data, dims_per_level, rule)
-    info = {
-        "epsilon": params.epsilon,
-        "lambda": params.lam,
-        "theta": params.theta,
-        "delta": params.delta,
-    }
-    return DecompTree(nodes=nodes, fanout=fanout, params_info=info)
-
-
-def build_simple_tree(
-    data: SpatialDataset,
-    lam: float,
-    theta: float,
-    h: int,
-    rng: np.random.Generator | None = None,
-    *,
-    noiseless: bool = False,
-) -> DecompTree:
-    """Fixed-height noisy decomposition: every node carries a noisy count.
-
-    A node splits when its noisy count exceeds ``theta`` and its depth is
-    below ``h - 1``, so the tree has at most ``h`` levels.  The caller is
-    responsible for ``lam >= h / epsilon`` when an epsilon-private release is
-    intended.
-    """
-    if not (isinstance(h, (int, np.integer)) and h >= 1):
-        raise ParameterError(f"height h must be an integer >= 1, got {h!r}")
-    if not lam > 0:
-        raise ParameterError(f"lam must be positive, got {lam!r}")
-    if not noiseless and rng is None:
-        raise ParameterError("rng is required unless noiseless=True")
-    d = data.domain.dims
-
-    def rule(depth, level, counts):
-        c_hat = counts.astype(np.float64)
-        if not noiseless:
-            c_hat += sample_laplace(lam, rng, size=counts.size)
-        for node, c in zip(level, c_hat.tolist()):
-            node.noisy_count = c
-        return (c_hat > theta) & (depth < h - 1)
-
-    nodes = _grow(data, d, rule)
-    info = {"epsilon": None, "lambda": float(lam), "theta": float(theta), "delta": None}
-    return DecompTree(nodes=nodes, fanout=1 << d, params_info=info)
-
-
-def build_ug(
-    data: SpatialDataset,
-    epsilon: float,
-    rng: np.random.Generator | None = None,
-    *,
-    noiseless: bool = False,
-) -> DecompTree:
-    """Uniform-grid synopsis as a depth-1 tree with ``m**d`` leaf cells.
-
-    Uses ``m = ceil((n * epsilon / 10) ** (2 / (d + 2)))`` bins per dimension
-    and a per-cell noise scale of ``1 / epsilon``.
-    """
-    if not epsilon > 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
-    if data.n < 1:
-        raise ParameterError("uniform grid requires a nonempty dataset")
-    if not noiseless and rng is None:
-        raise ParameterError("rng is required unless noiseless=True")
-    d = data.domain.dims
-    m = int(math.ceil((data.n * epsilon / 10.0) ** (2.0 / (d + 2.0))))
-    m = max(m, 1)
-    edges = [
-        np.linspace(data.domain.lo[j], data.domain.hi[j], m + 1) for j in range(d)
-    ]
-    counts, _ = np.histogramdd(data.points, bins=edges)
-    noisy = counts if noiseless else counts + sample_laplace(
-        1.0 / epsilon, rng, size=counts.shape
-    )
-    root = TreeNode(id=0, depth=0, lo=data.domain.lo, hi=data.domain.hi)
-    nodes = [root]
-    flat = noisy.reshape(-1)
-    for k, mi in enumerate(np.ndindex(counts.shape)):
-        lo = tuple(float(edges[j][mi[j]]) for j in range(d))
-        hi = tuple(float(edges[j][mi[j] + 1]) for j in range(d))
-        child = TreeNode(
-            id=k + 1, depth=1, lo=lo, hi=hi, noisy_count=float(flat[k])
-        )
-        root.children.append(child.id)
-        nodes.append(child)
-    info = {"epsilon": float(epsilon), "lambda": 1.0 / epsilon, "theta": None, "delta": None}
-    tree = DecompTree(nodes=nodes, fanout=m**d, params_info=info)
-    tree._grid = {"edges": edges, "counts": noisy}
-    return tree
-
-
-# ---------------------------------------------------------------------------
-# noisy-count postprocessing
-# ---------------------------------------------------------------------------
-
-
-def _leaf_exact_counts(tree: DecompTree, data: SpatialDataset) -> dict:
-    root = tree.node(tree.root)
-    if tuple(root.lo) != data.domain.lo or tuple(root.hi) != data.domain.hi:
-        raise InputDataError("tree domain does not match dataset domain")
-    out = {}
-
-    def visit(depth, level, counts):
-        out.update((v.id, c) for v, c in zip(level, counts.tolist()) if v.is_leaf)
-        return [not v.is_leaf for v in level]
-
-    _walk(tree.nodes, tree.root, data, tree.fanout, visit)
-    return out
-
-
-def attach_noisy_counts(
-    tree: DecompTree,
-    data: SpatialDataset,
-    epsilon_counts: float,
-    rng: np.random.Generator | None = None,
-    *,
-    noiseless: bool = False,
-) -> DecompTree:
-    """Publish per-leaf noisy counts at Laplace scale ``1 / epsilon_counts``.
-
-    Leaves partition the domain, so one point affects one leaf and the leaf
-    count vector has sensitivity 1.  Internal nodes report the sum of their
-    leaves' noisy counts, derived on demand during queries.  Negative leaf
-    counts are released as-is (sums stay unbiased); clamp only in
-    presentation-layer output if needed.  Mutates and returns ``tree``.
-    """
-    if not epsilon_counts > 0:
-        raise ParameterError(f"epsilon_counts must be positive, got {epsilon_counts!r}")
-    if not noiseless and rng is None:
-        raise ParameterError("rng is required unless noiseless=True")
-    counts = _leaf_exact_counts(tree, data)
-    ids = sorted(counts)
-    noisy = np.array([counts[nid] for nid in ids], dtype=np.float64)
-    if not noiseless:
-        noisy += sample_laplace(1.0 / epsilon_counts, rng, size=noisy.size)
-    for nid, c in zip(ids, noisy.tolist()):
-        tree.node(nid).noisy_count = c
-    tree._cols = tree._arrays = None
-    tree._grid = None  # grid fast-path cache would now be stale
-    return tree
-
-
-# ---------------------------------------------------------------------------
-# range counting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Columns:
+class _Columns(NamedTuple):
     """A tree as one array per node field, indexed by node id: ``depth``,
     ``lo`` and ``hi`` (N x d), the children in CSR form (those of node ``i``
     are ``kids[first[i]:first[i + 1]]``, in stored order), and ``count``,
@@ -596,10 +309,293 @@ def _column_nodes(cols: _Columns) -> list:
 
 
 def _columns(tree: DecompTree) -> _Columns:
-    """The tree's columns, derived from its nodes on first use."""
-    if tree._cols is None:
-        tree._cols = _node_columns(tree.nodes)
-    return tree._cols
+    """The tree's stored columns, or those of its node list."""
+    return tree._cols if tree._nodes is None else _node_columns(tree._nodes)
+
+
+def _column_tree(cols: _Columns, fanout: int, params_info: dict, root: int = 0) -> DecompTree:
+    tree = DecompTree(None, fanout, params_info, root)
+    tree._cols = cols
+    return tree
+
+
+# ---------------------------------------------------------------------------
+# construction
+# ---------------------------------------------------------------------------
+
+
+def _dims_for_level(depth: int, d: int, dims_per_level: int) -> tuple:
+    """Dimensions bisected at this depth: all of them, or a round-robin window.
+
+    Always ascending, so child order can be reconstructed from regions alone
+    (see _split_geometry)."""
+    if dims_per_level == d:
+        return tuple(range(d))
+    return tuple(
+        sorted((depth * dims_per_level + j) % d for j in range(dims_per_level))
+    )
+
+
+def _resolve_dims_per_level(data: SpatialDataset, dims_per_level):
+    d = data.domain.dims
+    if dims_per_level is None:
+        return d
+    if not 1 <= dims_per_level <= d:
+        raise ParameterError(
+            f"dims_per_level must be in [1, {d}], got {dims_per_level!r}"
+        )
+    return int(dims_per_level)
+
+
+def _split_geometry(cols: _Columns, parents: np.ndarray, fanout: int):
+    """(mids, code weights) of each parent's split, read from its first child:
+    the lower half along every dimension where its box differs from the
+    parent's.  Codes carry one bit per split dimension, in ascending order."""
+    lo, hi = cols.lo[parents], cols.hi[parents]
+    first = cols.kids[cols.first[parents]]
+    first_lo, first_hi = cols.lo[first], cols.hi[first]
+    moved = (first_lo != lo) | (first_hi != hi)
+    n_kids = cols.first[parents + 1] - cols.first[parents]
+    bad = (n_kids != fanout) | (n_kids != 1 << moved.sum(axis=1))
+    if bad.any() or (moved & (first_lo != lo)).any():
+        raise InputDataError("tree children do not form a recognized bisection")
+    return first_hi, (moved << (np.cumsum(moved, axis=1) - moved)).astype(np.int32)
+
+
+def _child_codes(points, items, parent, mids, weights):
+    """Each item's child code: the weights of the dimensions in which it lies
+    at or above its parent's mid."""
+    code = np.zeros(items.size, dtype=np.int32)
+    for j in np.flatnonzero(weights.any(axis=0)):
+        code += (points[items, j] >= mids[parent, j]) * weights[parent, j]
+    return code
+
+
+def _grow(data: SpatialDataset, dims_per_level: int, rule) -> _Columns:
+    """Split loop of the recursive builders: ``rule(depth, counts)`` decides
+    a whole level from its exact counts, so noise is drawn level by level,
+    in BFS order, on one stream.  Child boxes are made a level at a time, by
+    parent and then child code (bit j: the upper half along the j-th split
+    dimension); ids follow BFS order, so the child list is 1..N-1."""
+    d = data.domain.dims
+    fanout = 1 << dims_per_level
+    los, his, splits = [np.array([data.domain.lo])], [np.array([data.domain.hi])], []
+
+    def decide(depth, sizes, items):
+        splits.append(np.asarray(rule(depth, sizes), dtype=bool))
+        return splits[-1]
+
+    def child_codes(depth, items, parent):
+        lo, hi = los[-1][splits[-1]], his[-1][splits[-1]]
+        mids = (lo + hi) / 2.0
+        dims = list(_dims_for_level(depth, d, dims_per_level))
+        weights = np.zeros((1, d), dtype=np.int32)
+        weights[0, dims] = 1 << np.arange(dims_per_level)
+        upper = (np.arange(fanout)[:, None] & weights) > 0  # fanout x d
+        lower = (weights > 0) & ~upper
+        los.append(np.where(upper, mids[:, None], lo[:, None]).reshape(-1, d))
+        his.append(np.where(lower, mids[:, None], hi[:, None]).reshape(-1, d))
+        return _child_codes(data.points, items, parent, mids, np.broadcast_to(weights, lo.shape))
+
+    grow_levels(data.n, fanout, decide, child_codes)
+    split = np.concatenate(splits)
+    n = split.size
+    return _Columns(
+        depth=np.repeat(np.arange(len(splits)), [s.size for s in splits]),
+        lo=np.concatenate(los), hi=np.concatenate(his),
+        first=_csr_first(split * fanout), kids=np.arange(1, n),
+        count=np.zeros(n), has_count=np.zeros(n, dtype=bool),
+    )
+
+
+def build_privtree(
+    data: SpatialDataset,
+    params: PrivacyParams,
+    rng: np.random.Generator | None = None,
+    *,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
+    dims_per_level: int | None = None,
+    noiseless: bool = False,
+) -> DecompTree:
+    """Grow a bias-decayed decomposition tree and release its structure only.
+
+    Each visited node's exact count is biased by ``depth * delta`` (floored at
+    ``theta - delta``), noised at scale ``params.lam``, and split when the
+    noisy score exceeds ``theta``.  Nodes at ``depth_cap`` never split and
+    draw no noise.  The returned tree has all point counts removed; attach
+    released counts with :func:`attach_noisy_counts`.
+    """
+    dims_per_level = _resolve_dims_per_level(data, dims_per_level)
+    fanout = 1 << dims_per_level
+    if params.beta != fanout:
+        raise ParameterError(
+            f"params.beta={params.beta} does not match fanout {fanout} "
+            f"(2^dims_per_level)"
+        )
+    if not noiseless and rng is None:
+        raise ParameterError("rng is required unless noiseless=True")
+
+    def rule(depth, counts):
+        eligible = np.full(counts.size, depth < depth_cap)
+        return biased_split(counts, depth, params, rng, eligible, noiseless)
+
+    cols = _grow(data, dims_per_level, rule)
+    info = {
+        "epsilon": params.epsilon,
+        "lambda": params.lam,
+        "theta": params.theta,
+        "delta": params.delta,
+    }
+    return _column_tree(cols, fanout, info)
+
+
+def build_simple_tree(
+    data: SpatialDataset,
+    lam: float,
+    theta: float,
+    h: int,
+    rng: np.random.Generator | None = None,
+    *,
+    noiseless: bool = False,
+) -> DecompTree:
+    """Fixed-height noisy decomposition: every node carries a noisy count.
+
+    A node splits when its noisy count exceeds ``theta`` and its depth is
+    below ``h - 1``, so the tree has at most ``h`` levels.  The caller is
+    responsible for ``lam >= h / epsilon`` when an epsilon-private release is
+    intended.
+    """
+    if not (isinstance(h, (int, np.integer)) and h >= 1):
+        raise ParameterError(f"height h must be an integer >= 1, got {h!r}")
+    if not lam > 0:
+        raise ParameterError(f"lam must be positive, got {lam!r}")
+    if not noiseless and rng is None:
+        raise ParameterError("rng is required unless noiseless=True")
+    d = data.domain.dims
+    noisy = []
+
+    def rule(depth, counts):
+        c_hat = counts.astype(np.float64)
+        if not noiseless:
+            c_hat += sample_laplace(lam, rng, size=counts.size)
+        noisy.append(c_hat)
+        return (c_hat > theta) & (depth < h - 1)
+
+    cols = _grow(data, d, rule)
+    cols = cols._replace(count=np.concatenate(noisy), has_count=np.ones(cols.count.size, bool))
+    info = {"epsilon": None, "lambda": float(lam), "theta": float(theta), "delta": None}
+    return _column_tree(cols, 1 << d, info)
+
+
+def build_ug(
+    data: SpatialDataset,
+    epsilon: float,
+    rng: np.random.Generator | None = None,
+    *,
+    noiseless: bool = False,
+) -> DecompTree:
+    """Uniform-grid synopsis as a depth-1 tree with ``m**d`` leaf cells.
+
+    Uses ``m = ceil((n * epsilon / 10) ** (2 / (d + 2)))`` bins per dimension
+    and a per-cell noise scale of ``1 / epsilon``.
+    """
+    if not epsilon > 0:
+        raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
+    if data.n < 1:
+        raise ParameterError("uniform grid requires a nonempty dataset")
+    if not noiseless and rng is None:
+        raise ParameterError("rng is required unless noiseless=True")
+    d = data.domain.dims
+    m = max(int(math.ceil((data.n * epsilon / 10.0) ** (2.0 / (d + 2.0)))), 1)
+    edges, cell_lo, cell_hi = _grid_cells(data.domain.lo, data.domain.hi, m)
+    counts, _ = np.histogramdd(data.points, bins=edges)
+    noisy = counts if noiseless else counts + sample_laplace(
+        1.0 / epsilon, rng, size=counts.shape
+    )
+    cells = m**d
+    cols = _Columns(
+        depth=np.repeat([0, 1], [1, cells]),
+        lo=np.vstack([data.domain.lo, cell_lo]), hi=np.vstack([data.domain.hi, cell_hi]),
+        first=_csr_first(np.repeat([cells, 0], [1, cells])), kids=np.arange(1, cells + 1),
+        count=np.append(0.0, noisy), has_count=np.arange(cells + 1) > 0,
+    )
+    info = {"epsilon": float(epsilon), "lambda": 1.0 / epsilon, "theta": None, "delta": None}
+    tree = _column_tree(cols, cells, info)
+    tree._grid = _detect_grid(cols, 0, cells)
+    return tree
+
+
+# ---------------------------------------------------------------------------
+# noisy-count postprocessing
+# ---------------------------------------------------------------------------
+
+
+def _leaf_exact_counts(tree: DecompTree, data: SpatialDataset) -> dict:
+    """Exact point count of every leaf, by id, from one level-by-level
+    partition of the points down the tree."""
+    if tree.domain != data.domain:
+        raise InputDataError("tree domain does not match dataset domain")
+    cols = _columns(tree)
+    out = {}
+    level = np.array([tree.root])
+
+    def decide(depth, sizes, items):
+        nonlocal level
+        inner = cols.first[level + 1] > cols.first[level]
+        out.update(zip(level[~inner].tolist(), sizes[~inner].tolist()))
+        level = level[inner]
+        return inner
+
+    def child_codes(depth, items, parent):
+        # level holds the splitting parents here; advance it to their children
+        nonlocal level
+        mids, weights = _split_geometry(cols, level, tree.fanout)
+        level = _children(cols.first, cols.kids, 0, level)[0]
+        return _child_codes(data.points, items, parent, mids, weights)
+
+    grow_levels(data.n, tree.fanout, decide, child_codes)
+    return out
+
+
+def attach_noisy_counts(
+    tree: DecompTree,
+    data: SpatialDataset,
+    epsilon_counts: float,
+    rng: np.random.Generator | None = None,
+    *,
+    noiseless: bool = False,
+) -> DecompTree:
+    """Publish per-leaf noisy counts at Laplace scale ``1 / epsilon_counts``.
+
+    Leaves partition the domain, so one point affects one leaf and the leaf
+    count vector has sensitivity 1.  Internal nodes report the sum of their
+    leaves' noisy counts, derived on demand during queries.  Negative leaf
+    counts are released as-is (sums stay unbiased); clamp only in
+    presentation-layer output if needed.  Mutates and returns ``tree``.
+    """
+    if not epsilon_counts > 0:
+        raise ParameterError(f"epsilon_counts must be positive, got {epsilon_counts!r}")
+    if not noiseless and rng is None:
+        raise ParameterError("rng is required unless noiseless=True")
+    counts = _leaf_exact_counts(tree, data)
+    ids = sorted(counts)
+    noisy = np.array([counts[nid] for nid in ids], dtype=np.float64)
+    if not noiseless:
+        noisy += sample_laplace(1.0 / epsilon_counts, rng, size=noisy.size)
+    if tree._nodes is None:
+        count, has_count = tree._cols.count.copy(), tree._cols.has_count.copy()
+        count[ids], has_count[ids] = noisy, True
+        tree._cols = tree._cols._replace(count=count, has_count=has_count)
+    else:
+        for nid, c in zip(ids, noisy.tolist()):
+            tree._nodes[nid].noisy_count = c
+    tree._arrays = tree._grid = None  # query caches built from the old counts
+    return tree
+
+
+# ---------------------------------------------------------------------------
+# range counting
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -824,150 +820,99 @@ def _node_field(entry, key):
     return int(entry[key])
 
 
-def _field_column(raw: list, key: str, stop: int):
-    """(column, k, exc): field ``key`` of every entry, and the first entry
-    ``k < stop`` whose value does not convert, with its exception (``stop``
-    and None when there is none).
-
-    The whole column is read with ``np.fromiter``, whose conversions agree
-    with :func:`_node_field` wherever both succeed on a finite value.  When
-    that fails or meets a non-finite float (``np.fromiter`` reads ``None``
-    as NaN), the entries up to ``stop`` are converted one at a time, and
-    integers are then kept as Python objects, as large as the document's.
-    A column is an array (id, depth), row lengths and rows (lo, hi), child
-    counts and the flat child list (children), or the has-count mask and
-    counts with 0.0 for the missing ones (noisy_count)."""
+def _fast_columns(raw: list):
+    """(columns, root) of a document whose entries are listed in id order and
+    pass every check of :func:`_entry_columns`, read a field at a time with
+    ``np.fromiter`` (which converts with ``int()`` and ``float()``, and reads
+    ``None`` as NaN); None for any other document."""
     n = len(raw)
-    column = None
     try:
-        if key == "noisy_count":
-            has = np.fromiter((key in e for e in raw), bool, n)
-            values = np.fromiter([e[key] for e in raw if key in e], np.float64)
-            if np.isfinite(values).all():
-                count = np.zeros(n)
-                count[has] = values
-                column = has, count
-        elif key == "children":
-            lists = [e[key] for e in raw]
-            n_kids = np.fromiter(map(len, lists), np.int64, n)
-            column = n_kids, np.fromiter(chain.from_iterable(lists), np.int64)
-        elif key in ("lo", "hi"):
-            rows = [e[key] for e in raw]
-            size = np.fromiter(map(len, rows), np.int64, n)
-            flat = np.fromiter(chain.from_iterable(rows), np.float64)
-            if np.isfinite(flat).all() and (size == (size[0] if n else 0)).all():
-                column = size, flat.reshape(n, -1) if n else flat.reshape(0, 0)
-        else:
-            column = np.fromiter([e[key] for e in raw], np.int64, n)
+        ids = np.fromiter([e["id"] for e in raw], np.int64, n)
+        depth = np.fromiter([e["depth"] for e in raw], np.int64, n)
+        regions = [[e[key] for e in raw] for key in ("lo", "hi")]
+        sizes = np.concatenate([np.fromiter(map(len, rows), np.int64, n) for rows in regions])
+        lo, hi = (np.fromiter(chain.from_iterable(rows), np.float64) for rows in regions)
+        lists = [e["children"] for e in raw]
+        n_kids = np.fromiter(map(len, lists), np.int64, n)
+        kids = np.fromiter(chain.from_iterable(lists), np.int64)
+        has_count = np.fromiter(("noisy_count" in e for e in raw), bool, n)
+        values = np.fromiter([e["noisy_count"] for e in raw if "noisy_count" in e], np.float64)
     except (KeyError, TypeError, ValueError, OverflowError):
-        pass
-    if column is not None:
-        return column, stop, None
-    values, k, exc = [], stop, None
-    for i in range(stop):
-        try:
-            values.append(_node_field(raw[i], key))
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
-            k, exc = i, err
-            break
-    if key == "noisy_count":
-        has = np.array([v is not None for v in values], dtype=bool)
-        column = has, np.array([0.0 if v is None else v for v in values])
-    elif key == "children":
-        flat = [c for kids in values for c in kids]
-        column = np.array([len(v) for v in values], dtype=np.int64), np.array(flat, dtype=object)
-    elif key in ("lo", "hi"):
-        column = np.array([len(v) for v in values], dtype=np.int64), values
-    else:
-        column = np.array(values, dtype=object)
-    return column, k, exc
+        return None
+    zero = np.flatnonzero(depth == 0)
+    dims = int(sizes[0]) if n else 0
+    if not (zero.size and dims and (sizes == dims).all() and (ids == np.arange(n)).all()):
+        return None
+    lo, hi = lo.reshape(n, dims), hi.reshape(n, dims)
+    if not (
+        np.isfinite(lo).all() and np.isfinite(hi).all() and np.isfinite(values).all()
+        and (lo < hi).all() and ((kids >= 0) & (kids < n)).all()
+    ):
+        return None
+    count = np.zeros(n)
+    count[has_count] = values
+    cols = _Columns(depth, lo, hi, _csr_first(n_kids), kids, count, has_count)
+    return cols, int(zero[-1])
 
 
-def _doc_columns(raw: list):
-    """The node entries in document order as (ids, :class:`_Columns`),
-    after every per-entry check.
+def _entry_columns(raw: list):
+    """(columns, root) of a document read one entry at a time, in document
+    order: the reader that defines the format and its errors.
 
-    Raises InputDataError for the first defective entry in document order,
-    and within it for the first defect in field order, then in the order of
-    the checks below: the error a reader taking one entry at a time would
-    report.  Each check looks only at the entries before the earliest
-    defect found so far."""
+    Raises InputDataError for the first defective entry, and within it for
+    the first field that does not convert, then for the first failing check
+    below; then for a document without a depth-0 entry.  The root is the
+    last depth-0 entry.  Depths stay Python integers, as large as the
+    document's, until the links are checked."""
     n = len(raw)
-    stop, error = n, None
-    got = {}
-    for key in _NODE_FIELDS:
-        got[key], k, exc = _field_column(raw, key, stop)
-        if exc is not None:
-            stop = k
-            error = (
-                f"node entry {k}: field {key!r} is missing or malformed "
-                f"({type(exc).__name__}: {exc})"
+    rows = [None] * n
+    root = dims = None
+    for k, entry in enumerate(raw):
+        values = []
+        for key in _NODE_FIELDS:
+            try:
+                values.append(_node_field(entry, key))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise InputDataError(
+                    f"node entry {k}: field {key!r} is missing or malformed "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
+        nid, depth, lo, hi, kids, count = values
+        if not 0 <= nid < n or rows[nid] is not None:
+            raise InputDataError(f"bad or duplicate node id {nid}")
+        dims = len(lo) if dims is None else dims
+        if not dims or len(lo) != dims or len(hi) != dims:
+            raise InputDataError(
+                f"node {nid}: lo and hi must have as many entries as in every node"
             )
-
-    def check(bad, message):
-        nonlocal stop, error
-        hits = np.flatnonzero(bad[:stop])
-        if hits.size:
-            stop = int(hits[0])
-            error = message(stop)
-
-    ids = got["id"]
-    in_range = (ids >= 0) & (ids < n)
-    idx = np.where(in_range, ids, 0).astype(np.int64)
-    order = np.argsort(idx[:stop], kind="stable")
-    repeat = np.zeros(stop, dtype=bool)
-    repeat[order[1:]] = idx[order[1:]] == idx[order[:-1]]
-    check(~in_range[:stop] | repeat, lambda k: f"bad or duplicate node id {ids[k]}")
-
-    (lo_len, lo), (hi_len, hi) = got["lo"], got["hi"]
-    dims = int(lo_len[0]) if stop else 0
-    check(
-        (dims == 0) | (lo_len[:stop] != dims) | (hi_len[:stop] != dims),
-        lambda k: f"node {ids[k]}: lo and hi must have as many entries as in every node",
-    )
-    lo = np.asarray(lo[:stop], dtype=np.float64).reshape(stop, dims)
-    hi = np.asarray(hi[:stop], dtype=np.float64).reshape(stop, dims)
-    has_count, count = got["noisy_count"]
-    finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
-    check(
-        ~finite | ~(np.isfinite(count[:stop]) | ~has_count[:stop]),
-        lambda k: f"node {ids[k]}: lo, hi and noisy_count must be finite",
-    )
-
-    n_kids, kids = got["children"]
-    first = _csr_first(n_kids[:stop])
-    owner = np.repeat(np.arange(stop), n_kids[:stop])
-    unknown = np.zeros(stop, dtype=bool)
-    unknown[owner[(kids[: first[-1]] < 0) | (kids[: first[-1]] >= n)]] = True
-    check(unknown, lambda k: f"node {ids[k]} references an unknown child id")
-
-    if stop < n:
-        raise InputDataError(error)
+        if not all(map(math.isfinite, lo + hi + (() if count is None else (count,)))):
+            raise InputDataError(f"node {nid}: lo, hi and noisy_count must be finite")
+        if not all(a < b for a, b in zip(lo, hi)):
+            raise InputDataError(f"node {nid}: lo must be below hi in every dimension")
+        if any(not 0 <= c < n for c in kids):
+            raise InputDataError(f"node {nid} references an unknown child id")
+        rows[nid] = values
+        if depth == 0:
+            root = nid
+    if root is None:
+        raise InputDataError("tree document has no depth-0 root node")
+    _, depth, lo, hi, kids, count = zip(*rows)
     cols = _Columns(
-        depth=got["depth"], lo=lo, hi=hi, first=first, kids=kids.astype(np.int64),
-        count=count, has_count=has_count,
+        depth=np.array(depth, dtype=object), lo=np.array(lo), hi=np.array(hi),
+        first=_csr_first(np.fromiter(map(len, kids), np.int64, n)),
+        kids=np.fromiter(chain.from_iterable(kids), np.int64),
+        count=np.array([0.0 if c is None else c for c in count]),
+        has_count=np.array([c is not None for c in count]),
     )
-    return idx, cols
-
-
-def _by_id(ids: np.ndarray, cols: _Columns) -> _Columns:
-    """Document-order columns reordered so that row ``i`` is node ``i``."""
-    if (ids == np.arange(ids.size)).all():
-        return cols
-    pos = np.empty_like(ids)
-    pos[ids] = np.arange(ids.size)
-    n_kids = np.diff(cols.first)[pos]
-    first = _csr_first(n_kids)
-    gather = np.repeat(cols.first[pos] - first[:-1], n_kids) + np.arange(first[-1])
-    return _Columns(
-        depth=cols.depth[pos], lo=cols.lo[pos], hi=cols.hi[pos], first=first,
-        kids=cols.kids[gather], count=cols.count[pos], has_count=cols.has_count[pos],
-    )
+    return cols, root
 
 
 def tree_from_json_dict(doc: dict) -> DecompTree:
-    """A tree from its document, validated column by column; builds no
-    :class:`TreeNode` objects (see :class:`DecompTree`)."""
+    """A tree from its document, stored as columns (see :class:`DecompTree`).
+
+    A document listed in id order that passes every check is read a field
+    at a time; any other goes to the entry-by-entry reader, which raises the
+    error for the first defect or reads the odd values the format allows."""
     try:
         fanout = int(doc["fanout"])
         params_info = dict(doc["params"])
@@ -976,19 +921,14 @@ def tree_from_json_dict(doc: dict) -> DecompTree:
         raise InputDataError(f"malformed tree document: {exc}") from exc
     if not isinstance(raw_nodes, list):
         raise InputDataError("malformed tree document: nodes must be a list")
-    ids, cols = _doc_columns(raw_nodes)
-    zero = np.flatnonzero(cols.depth == 0)
-    if not zero.size:
-        raise InputDataError("tree document has no depth-0 root node")
-    root = int(ids[zero[-1]])  # the last depth-0 entry in document order
-    cols = _by_id(ids, cols)
-    parents = np.repeat(np.arange(ids.size), np.diff(cols.first))
+    cols, root = _fast_columns(raw_nodes) or _entry_columns(raw_nodes)
+    parents = np.repeat(np.arange(len(raw_nodes)), np.diff(cols.first))
     check_tree_links(
-        ids.size, root, parents, cols.kids, cols.depth[cols.kids] == cols.depth[parents] + 1
+        len(raw_nodes), root, parents, cols.kids,
+        cols.depth[cols.kids] == cols.depth[parents] + 1,
     )
-    cols = replace(cols, depth=cols.depth.astype(np.int64))
-    tree = DecompTree(None, fanout, params_info, root)
-    tree._cols = cols
+    cols = cols._replace(depth=cols.depth.astype(np.int64, copy=False))
+    tree = _column_tree(cols, fanout, params_info, root)
     tree._grid = _detect_grid(cols, root, fanout)
     return tree
 
@@ -1002,10 +942,22 @@ def load_tree(path) -> DecompTree:
     return tree_from_json_dict(doc)
 
 
+def _grid_cells(lo, hi, m: int):
+    """The ``linspace`` edges of the grid with ``m`` cells per side over the
+    box ``[lo, hi)``, and the ``lo`` and ``hi`` of its cells (m**d x d), in
+    C order."""
+    d = len(lo)
+    edges = [np.linspace(lo[j], hi[j], m + 1) for j in range(d)]
+    cell = np.indices((m,) * d).reshape(d, -1)
+    cell_lo = np.stack([e[c] for e, c in zip(edges, cell)], axis=1)
+    cell_hi = np.stack([e[c + 1] for e, c in zip(edges, cell)], axis=1)
+    return edges, cell_lo, cell_hi
+
+
 def _detect_grid(cols: _Columns, root: int, fanout: int):
-    """Re-tag a uniform grid after loading so queries stay fast: a root whose
+    """The grid fast-path state of a uniform grid, else None: a root whose
     ``fanout == m**d`` children, all leaves with counts, are the only other
-    nodes and are the cells of the ``linspace`` grid of the root, in C
+    nodes and are the cells of :func:`_grid_cells` over the root, in C
     order."""
     kids = cols.kids[cols.first[root] : cols.first[root + 1]]
     if not kids.size or kids.size != fanout or cols.depth.size != kids.size + 1:
@@ -1014,15 +966,12 @@ def _detect_grid(cols: _Columns, root: int, fanout: int):
     m = round(fanout ** (1.0 / d))
     if m**d != fanout:
         return None
-    edges = [np.linspace(cols.lo[root, j], cols.hi[root, j], m + 1) for j in range(d)]
-    cell = np.indices((m,) * d).reshape(d, -1)
-    grid_lo = np.stack([e[c] for e, c in zip(edges, cell)], axis=1)
-    grid_hi = np.stack([e[c + 1] for e, c in zip(edges, cell)], axis=1)
+    edges, cell_lo, cell_hi = _grid_cells(cols.lo[root], cols.hi[root], m)
     if not (
         cols.has_count[kids].all()
         and (cols.first[kids + 1] == cols.first[kids]).all()
-        and (cols.lo[kids] == grid_lo).all()
-        and (cols.hi[kids] == grid_hi).all()
+        and (cols.lo[kids] == cell_lo).all()
+        and (cols.hi[kids] == cell_hi).all()
     ):
         return None
     return {"edges": edges, "counts": cols.count[kids].reshape((m,) * d)}
@@ -1116,7 +1065,7 @@ def _decision_scores(data, params, depth_cap, dims_per_level):
         raise ParameterError("params.beta does not match the split fanout")
     levels = []
 
-    def rule(depth, level, counts):
+    def rule(depth, counts):
         levels.append(counts)
         return np.full(counts.size, depth < depth_cap - 1)
 

@@ -246,6 +246,25 @@ class TestRangeQuery:
         assert res.exit_code == 2
         assert "must be finite" in res.output
 
+    def test_inverted_tree_region_is_input_error(self, runner, tmp_path, points_csv):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps({
+            "fanout": 2,
+            "params": {"epsilon": None, "lambda": None, "theta": None, "delta": None},
+            "nodes": [{"id": 0, "depth": 0, "lo": [0.5], "hi": [0.2], "children": [],
+                       "noisy_count": 3.0}],
+        }))
+        wl = tmp_path / "wl.csv"
+        wl.write_text("0,1\n")
+        data = tmp_path / "data.csv"
+        data.write_text("0.3\n")
+        res = runner.invoke(
+            main, ["range-query", "--tree", str(tree), "--workload", str(wl),
+                   "--data", str(data)]
+        )
+        assert res.exit_code == 2, res.output
+        assert "node 0: lo must be below hi" in res.output
+
 
 class TestSequenceCommands:
     def build_pst(self, runner, tmp_path, sequences_txt, *extra):

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dphier import dp_core, spatial
+from dphier.cli import main
 from dphier.dp_core import privtree_params, sample_laplace
 from dphier.errors import InputDataError, ParameterError
 from dphier.spatial import (
@@ -1135,6 +1137,24 @@ class TestLoadValidation:
         with pytest.raises(InputDataError):
             spatial.load_tree(path)
 
+    def test_inverted_region_rejected(self):
+        doc = {
+            "fanout": 2,
+            "params": {"epsilon": None, "lambda": None, "theta": None, "delta": None},
+            "nodes": [{"id": 0, "depth": 0, "lo": [0.5], "hi": [0.2], "children": [],
+                       "noisy_count": 3.0}],
+        }
+        with pytest.raises(InputDataError, match="node 0: lo must be below hi"):
+            spatial.tree_from_json_dict(doc)
+
+    @pytest.mark.parametrize("kind", ["privtree-2d", "grid"])
+    def test_empty_region_rejected_in_a_well_formed_document(self, kind):
+        doc = load_fixture(kind)[1].to_json_dict()
+        leaf = doc["nodes"][-1]
+        leaf["hi"][1] = leaf["lo"][1]
+        with pytest.raises(InputDataError, match=f"node {leaf['id']}: lo must be below hi"):
+            spatial.tree_from_json_dict(doc)
+
     @pytest.mark.parametrize(
         "mutate, message",
         [
@@ -1243,6 +1263,8 @@ def reference_tree_from_json_dict(doc):
         values = node.lo + node.hi + (() if node.noisy_count is None else (node.noisy_count,))
         if not all(map(math.isfinite, values)):
             raise InputDataError(f"node {node.id}: lo, hi and noisy_count must be finite")
+        if not all(a < b for a, b in zip(node.lo, node.hi)):
+            raise InputDataError(f"node {node.id}: lo must be below hi in every dimension")
         if any(not 0 <= c < len(raw_nodes) for c in node.children):
             raise InputDataError(f"node {node.id} references an unknown child id")
         nodes[node.id] = node
@@ -1466,6 +1488,52 @@ class TestColumnLoader:
             spatial.range_counts(loaded, load_queries(loaded.dims))
             loaded._grid = None
             spatial.range_counts(loaded, load_queries(loaded.dims))
+
+    def test_well_formed_document_skips_the_entry_reader(self, monkeypatch):
+        docs = [load_fixture(kind)[1].to_json_dict() for kind in _LOAD_KINDS]
+        for doc in docs:  # both readers give the same columns and root
+            (fast, fast_root), (entry, entry_root) = (
+                spatial._fast_columns(doc["nodes"]), spatial._entry_columns(doc["nodes"])
+            )
+            assert fast_root == entry_root and all(map(np.array_equal, fast, entry))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("entry reader used")
+
+        monkeypatch.setattr(spatial, "_entry_columns", refuse)
+        for doc in docs:
+            spatial.tree_from_json_dict(doc)
+
+    def test_release_path_builds_no_tree_nodes(self, monkeypatch, tmp_path):
+        data = random_dataset(np.random.default_rng(44), n=600)
+        data4 = random_dataset(np.random.default_rng(45), n=600, d=4)
+        points = tmp_path / "points.csv"
+        np.savetxt(points, data.points, delimiter=",")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TreeNode was built")
+
+        monkeypatch.setattr(spatial, "TreeNode", refuse)
+        rng = np.random.default_rng(46)
+        trees = [
+            build_privtree(data, privtree_params(1.0, 4, 0.0), rng),
+            build_privtree(data4, privtree_params(1.0, 4, 0.0), rng, dims_per_level=2),
+            build_simple_tree(data, 4.0, 5.0, 5, rng),
+            build_ug(data, 0.5, rng),
+        ]
+        attach_noisy_counts(trees[0], data, 0.5, rng)
+        attach_noisy_counts(trees[1], data4, 0.5, rng)
+        for tree in trees:
+            assert tree._nodes is None and tree.dumps()
+        out = tmp_path / "tree.json"
+        res = CliRunner().invoke(main, [
+            "spatial-build", "--input", str(points), "--output", str(out),
+            "--epsilon", "1.0", "--domain-lo", "0,0", "--domain-hi", "1,1", "--seed", "3",
+        ])
+        assert res.exit_code == 0, res.output
+        loaded = spatial.load_tree(out)
+        assert f"built tree: {loaded.n_nodes} nodes, {loaded.n_leaves} leaves" in res.output
+        assert loaded._nodes is None
 
     def test_nodes_are_built_once_on_first_access(self):
         loaded = spatial.tree_from_json_dict(load_fixture("simple")[1].to_json_dict())
