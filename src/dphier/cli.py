@@ -198,6 +198,8 @@ def cmd_spatial_build(**kw):
 def cmd_range_query(**kw):
     """Answer a range-count workload over a released tree."""
     kw = _apply_config(kw.pop("config_path"), kw)
+    if kw["data_path"] is None and kw["delta"] is not None:
+        raise ParameterError("--delta needs --data (it smooths relative errors)")
     tree = spatial.load_tree(kw["tree_path"])
     queries = spatial.load_workload_csv(kw["workload_path"], tree.dims)
     if kw["data_path"] is None:

@@ -33,9 +33,10 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Bisecting a float interval degenerates past ~52 halvings, so builds stop
-# splitting at this depth.  The cap is data-independent and therefore
-# privacy-neutral; nodes at the cap are leaves and draw no split noise.
+# Builds stop splitting at this depth, which bounds the height of a tree;
+# boxes too small to halve in float arithmetic never split at any depth (see
+# spatial._grow).  The cap is data-independent and therefore privacy-neutral;
+# nodes at the cap are leaves and draw no split noise.
 DEFAULT_DEPTH_CAP = 40
 
 
@@ -48,23 +49,17 @@ def _check_scale(scale: float) -> None:
 class PrivacyParams:
     """Privacy parameterization of a bias-decayed decomposition build.
 
-    ``delta`` (the per-level bias) is stored redundantly alongside
-    ``gamma = delta / lam``; construction enforces ``delta == gamma * lam``
-    bitwise, so derive ``delta`` from ``gamma`` when building by hand.
-
     Attributes:
         epsilon: total privacy budget allocated to the tree structure.
         lam: Laplace scale used for split decisions.
         theta: split threshold.
-        delta: per-level bias subtracted from the score (decaying factor).
-        gamma: delta / lam.
+        gamma: bias per unit of noise scale, ``delta / lam``.
         beta: tree fanout (children per split).
     """
 
     epsilon: float
     lam: float
     theta: float
-    delta: float
     gamma: float
     beta: int
 
@@ -76,20 +71,15 @@ class PrivacyParams:
             raise ParameterError(f"gamma must be positive, got {self.gamma!r}")
         if not (isinstance(self.beta, (int, np.integer)) and self.beta >= 2):
             raise ParameterError(f"beta must be an integer >= 2, got {self.beta!r}")
-        if self.delta != self.gamma * self.lam:
-            raise ParameterError(
-                f"delta must equal gamma * lam exactly "
-                f"(delta={self.delta!r}, gamma*lam={self.gamma * self.lam!r})"
-            )
+
+    @property
+    def delta(self) -> float:
+        """Per-level bias subtracted from the score (decaying factor)."""
+        return self.gamma * self.lam
 
 
 def privtree_params(
-    epsilon: float,
-    beta: int,
-    theta: float = 0.0,
-    *,
-    sensitivity: float = 1.0,
-    scale_multiplier: float = 1.0,
+    epsilon: float, beta: int, theta: float = 0.0, *, sensitivity: float = 1.0
 ) -> PrivacyParams:
     """Derive the tightest valid parameters for a fanout-``beta`` build.
 
@@ -97,8 +87,7 @@ def privtree_params(
     ``lam = (2*beta - 1) / (beta - 1) * sensitivity / epsilon`` and the
     convergence-friendly bias ``delta = lam * ln(beta)``.  ``sensitivity``
     scales the noise for score functions whose per-record influence exceeds 1
-    (e.g. length-capped sequence scores).  ``scale_multiplier >= 1`` adds
-    slack for callers that want more noise than the minimum.
+    (e.g. length-capped sequence scores).
     """
     if not epsilon > 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
@@ -106,18 +95,14 @@ def privtree_params(
         raise ParameterError(f"beta must be an integer >= 2, got {beta!r}")
     if not sensitivity > 0:
         raise ParameterError(f"sensitivity must be positive, got {sensitivity!r}")
-    if not scale_multiplier >= 1.0:
-        raise ParameterError(
-            f"scale_multiplier must be >= 1, got {scale_multiplier!r}"
-        )
-    lam = (2.0 * beta - 1.0) / (beta - 1.0) * sensitivity / epsilon * scale_multiplier
-    gamma = math.log(beta)
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ParameterError(f"theta must be finite, got {theta!r}")
     return PrivacyParams(
         epsilon=float(epsilon),
-        lam=lam,
-        theta=float(theta),
-        delta=gamma * lam,
-        gamma=gamma,
+        lam=(2.0 * beta - 1.0) / (beta - 1.0) * sensitivity / epsilon,
+        theta=theta,
+        gamma=math.log(beta),
         beta=int(beta),
     )
 

@@ -369,11 +369,13 @@ def _positions(data: SequenceDataset):
     """Flat id matrix, and each position's index of its last context symbol.
 
     Matrix row s is the start marker, sequence s, its end marker if any, then
-    start-marker padding.  A position's next symbol is one step right of its
-    index; the symbol extending a depth-D predictor is D steps left."""
-    width = data.l_max + 1
+    start-marker padding, as wide as the longest row needs.  A position's next
+    symbol is one step right of its index; the symbol extending a depth-D
+    predictor is D steps left, never past the row's start marker, since a
+    node whose predictor starts with it never splits."""
     lens = np.fromiter(map(len, data.sequences), dtype=np.intp, count=data.n)
     closed = ~np.asarray(data.open_ended, dtype=bool)
+    width = int((lens + closed).max(initial=0)) + 1
     ids = np.full((data.n, width), START_ID, dtype=np.int32)
     ids[:, 1:][np.arange(width - 1) < lens[:, None]] = np.fromiter(
         itertools.chain.from_iterable(data.sequences), np.int32

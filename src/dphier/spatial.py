@@ -155,13 +155,13 @@ class DecompTree:
     ``params_info`` carries the four serialized keys (epsilon, lambda, theta,
     delta), with ``None`` where a builder has no such notion.
 
-    The builders and the loader store the nodes as :class:`_Columns`, which
-    is what count attachment, serialization, comparison and queries read.
-    :class:`TreeNode` objects exist only once ``nodes``, ``node(i)`` or
-    ``leaves()`` is called, or when they are passed in as ``nodes``; from
-    then on the node list is the tree, and its columns are derived from it
-    on each read.  ``_arrays`` and ``_grid`` are query caches: code that
-    changes counts must drop them, as :func:`attach_noisy_counts` does.
+    The builders and the loader store the nodes as :class:`_Columns`, and
+    library code reads and writes only these.  :class:`TreeNode` objects are
+    for callers: ``nodes``, ``node(i)`` and ``leaves()`` build them, and a
+    caller may pass them in as ``nodes``, whose columns are then derived on
+    each read until :func:`attach_noisy_counts` stores columns and drops the
+    list.  ``_arrays`` and ``_grid`` are query caches: code that changes
+    counts must drop them, as :func:`attach_noisy_counts` does.
     """
 
     def __init__(self, nodes, fanout: int, params_info: dict | None = None, root: int = 0):
@@ -182,17 +182,13 @@ class DecompTree:
 
     @property
     def dims(self) -> int:
-        if self._nodes is None:
-            return self._cols.lo.shape[1]
-        return len(self._nodes[self.root].lo)
+        return _columns(self).lo.shape[1]
 
     @property
     def domain(self) -> SpatialDomain:
         """The root's region."""
-        if self._nodes is None:
-            return SpatialDomain(self._cols.lo[self.root], self._cols.hi[self.root])
-        root = self._nodes[self.root]
-        return SpatialDomain(root.lo, root.hi)
+        cols = _columns(self)
+        return SpatialDomain(cols.lo[self.root], cols.hi[self.root])
 
     @property
     def n_nodes(self) -> int:
@@ -372,30 +368,36 @@ def _child_codes(points, items, parent, mids, weights):
 
 
 def _grow(data: SpatialDataset, dims_per_level: int, rule) -> _Columns:
-    """Split loop of the recursive builders: ``rule(depth, counts)`` decides
-    a whole level from its exact counts, so noise is drawn level by level,
-    in BFS order, on one stream.  Child boxes are made a level at a time, by
-    parent and then child code (bit j: the upper half along the j-th split
-    dimension); ids follow BFS order, so the child list is 1..N-1."""
+    """Split loop of the recursive builders: ``rule(depth, counts, halvable)``
+    decides a whole level from its exact counts, so noise is drawn level by
+    level, in BFS order, on one stream.  ``halvable`` marks the nodes whose
+    box has its midpoint strictly inside along every dimension split at
+    their depth; the rule must split no other.  Child boxes are made a level
+    at a time, by parent and then child code (bit j: the upper half along the
+    j-th split dimension); ids follow BFS order, so the child list is 1..N-1."""
     d = data.domain.dims
     fanout = 1 << dims_per_level
     los, his, splits = [np.array([data.domain.lo])], [np.array([data.domain.hi])], []
 
     def decide(depth, sizes, items):
-        splits.append(np.asarray(rule(depth, sizes), dtype=bool))
+        lo, hi = los[-1], his[-1]
+        with np.errstate(over="ignore"):  # an infinite midpoint is not inside
+            mid = (lo + hi) / 2.0
+        inside = ((lo < mid) & (mid < hi))[:, list(_dims_for_level(depth, d, dims_per_level))]
+        splits.append(np.asarray(rule(depth, sizes, inside.all(axis=1)), dtype=bool))
         return splits[-1]
 
     def child_codes(depth, items, parent):
         lo, hi = los[-1][splits[-1]], his[-1][splits[-1]]
-        mids = (lo + hi) / 2.0
+        mid = (lo + hi) / 2.0
         dims = list(_dims_for_level(depth, d, dims_per_level))
         weights = np.zeros((1, d), dtype=np.int32)
         weights[0, dims] = 1 << np.arange(dims_per_level)
         upper = (np.arange(fanout)[:, None] & weights) > 0  # fanout x d
         lower = (weights > 0) & ~upper
-        los.append(np.where(upper, mids[:, None], lo[:, None]).reshape(-1, d))
-        his.append(np.where(lower, mids[:, None], hi[:, None]).reshape(-1, d))
-        return _child_codes(data.points, items, parent, mids, np.broadcast_to(weights, lo.shape))
+        los.append(np.where(upper, mid[:, None], lo[:, None]).reshape(-1, d))
+        his.append(np.where(lower, mid[:, None], hi[:, None]).reshape(-1, d))
+        return _child_codes(data.points, items, parent, mid, np.broadcast_to(weights, lo.shape))
 
     grow_levels(data.n, fanout, decide, child_codes)
     split = np.concatenate(splits)
@@ -422,7 +424,8 @@ def build_privtree(
     Each visited node's exact count is biased by ``depth * delta`` (floored at
     ``theta - delta``), noised at scale ``params.lam``, and split when the
     noisy score exceeds ``theta``.  Nodes at ``depth_cap`` never split and
-    draw no noise.  The returned tree has all point counts removed; attach
+    draw no noise, and so do nodes whose box can no longer be halved (see
+    :func:`_grow`).  The returned tree has all point counts removed; attach
     released counts with :func:`attach_noisy_counts`.
     """
     dims_per_level = _resolve_dims_per_level(data, dims_per_level)
@@ -435,9 +438,8 @@ def build_privtree(
     if not noiseless and rng is None:
         raise ParameterError("rng is required unless noiseless=True")
 
-    def rule(depth, counts):
-        eligible = np.full(counts.size, depth < depth_cap)
-        return biased_split(counts, depth, params, rng, eligible, noiseless)
+    def rule(depth, counts, halvable):
+        return biased_split(counts, depth, params, rng, halvable & (depth < depth_cap), noiseless)
 
     cols = _grow(data, dims_per_level, rule)
     info = {
@@ -460,8 +462,9 @@ def build_simple_tree(
 ) -> DecompTree:
     """Fixed-height noisy decomposition: every node carries a noisy count.
 
-    A node splits when its noisy count exceeds ``theta`` and its depth is
-    below ``h - 1``, so the tree has at most ``h`` levels.  The caller is
+    A node splits when its noisy count exceeds ``theta``, its depth is
+    below ``h - 1`` and its box can still be halved (see :func:`_grow`), so
+    the tree has at most ``h`` levels.  The caller is
     responsible for ``lam >= h / epsilon`` when an epsilon-private release is
     intended.
     """
@@ -474,12 +477,12 @@ def build_simple_tree(
     d = data.domain.dims
     noisy = []
 
-    def rule(depth, counts):
+    def rule(depth, counts, halvable):
         c_hat = counts.astype(np.float64)
         if not noiseless:
             c_hat += sample_laplace(lam, rng, size=counts.size)
         noisy.append(c_hat)
-        return (c_hat > theta) & (depth < h - 1)
+        return (c_hat > theta) & (depth < h - 1) & halvable
 
     cols = _grow(data, d, rule)
     cols = cols._replace(count=np.concatenate(noisy), has_count=np.ones(cols.count.size, bool))
@@ -582,13 +585,11 @@ def attach_noisy_counts(
     noisy = np.array([counts[nid] for nid in ids], dtype=np.float64)
     if not noiseless:
         noisy += sample_laplace(1.0 / epsilon_counts, rng, size=noisy.size)
-    if tree._nodes is None:
-        count, has_count = tree._cols.count.copy(), tree._cols.has_count.copy()
-        count[ids], has_count[ids] = noisy, True
-        tree._cols = tree._cols._replace(count=count, has_count=has_count)
-    else:
-        for nid, c in zip(ids, noisy.tolist()):
-            tree._nodes[nid].noisy_count = c
+    cols = _columns(tree)
+    count, has_count = cols.count.copy(), cols.has_count.copy()
+    count[ids], has_count[ids] = noisy, True
+    tree._cols = cols._replace(count=count, has_count=has_count)
+    tree._nodes = None
     tree._arrays = tree._grid = None  # query caches built from the old counts
     return tree
 
@@ -766,12 +767,10 @@ def range_counts(tree: DecompTree, queries) -> np.ndarray:
     separable contraction instead.  Returns one float64 estimate per
     :class:`RangeQuery` in ``queries``, in order.
     """
-    queries = list(queries)
+    queries, dims = list(queries), tree.dims
     for q in queries:
-        if q.dims != tree.dims:
-            raise InputDataError(
-                f"query dimensionality {q.dims} does not match tree ({tree.dims})"
-            )
+        if q.dims != dims:
+            raise InputDataError(f"query dimensionality {q.dims} does not match tree ({dims})")
     if tree._grid is not None:
         return np.array([_grid_range_count(tree, q) for q in queries], dtype=np.float64)
     out = np.empty(len(queries))
@@ -779,7 +778,7 @@ def range_counts(tree: DecompTree, queries) -> np.ndarray:
         return out
     view = _tree_arrays(tree)
     qbox = np.array([q.lo + q.hi for q in queries]).T
-    qbox[tree.dims :] *= -1.0
+    qbox[dims:] *= -1.0
     start, block = 0, len(queries)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while start < len(queries):
@@ -1058,15 +1057,18 @@ def load_workload_csv(path, dims: int):
 
 def _decision_scores(data, params, depth_cap, dims_per_level):
     """(biased scores, parents, counts) of the decision nodes (depth <
-    depth_cap) of the complete tree in BFS order; the root's parent is -1."""
+    depth_cap) of the complete tree in BFS order; the root's parent is -1.
+    Every decision node must be able to split (see :func:`_grow`)."""
     dims_per_level = _resolve_dims_per_level(data, dims_per_level)
     fanout = 1 << dims_per_level
     if params.beta != fanout:
         raise ParameterError("params.beta does not match the split fanout")
     levels = []
 
-    def rule(depth, counts):
+    def rule(depth, counts, halvable):
         levels.append(counts)
+        if depth < depth_cap and not halvable.all():
+            raise ParameterError(f"depth_cap {depth_cap} reaches boxes that cannot be halved")
         return np.full(counts.size, depth < depth_cap - 1)
 
     _grow(data, dims_per_level, rule)
@@ -1150,19 +1152,21 @@ def tree_shape_mask(
     if dims_per_level is None:
         dims_per_level = tree.dims
     fanout = 1 << dims_per_level
+    cols = _columns(tree)
+    first, kids, depth = cols.first.tolist(), cols.kids.tolist(), cols.depth.tolist()
     mask = 0
     pairs = [(0, tree.root)]
     while pairs:
         ci, nid = pairs.pop()
-        node = tree.node(nid)
-        if node.is_leaf:
+        children = kids[first[nid] : first[nid + 1]]
+        if not children:
             continue
         mask |= 1 << ci
-        if node.depth < depth_cap - 1:
-            if len(node.children) != fanout:
+        if depth[nid] < depth_cap - 1:
+            if len(children) != fanout:
                 raise InputDataError("tree fanout does not match candidate enumeration")
             # BFS numbering of the complete tree: candidate i's children
-            pairs.extend((ci * fanout + 1 + c, cid) for c, cid in enumerate(node.children))
-        elif any(not tree.node(c).is_leaf for c in node.children):
+            pairs.extend((ci * fanout + 1 + c, cid) for c, cid in enumerate(children))
+        elif any(first[c + 1] > first[c] for c in children):
             raise InputDataError("tree is deeper than the candidate depth cap")
     return mask

@@ -515,8 +515,10 @@ def run_default_audit(
     privacy level is eps = 2/lam per neighbor hop); VIOLATES means the exact
     log-ratio exceeds it.
     """
-    if not lam > 0:
-        raise ParameterError(f"lam must be positive, got {lam!r}")
+    if not 0 < lam < math.inf:
+        raise ParameterError(f"lam must be positive and finite, got {lam!r}")
+    if not math.isfinite(theta):
+        raise ParameterError(f"theta must be finite, got {theta!r}")
     if t != 1:
         raise ParameterError(
             f"the default battery fixes t per scenario; t must be 1, got {t!r}"

@@ -207,6 +207,46 @@ class TestRangeQuery:
         assert all(q["rel_error"] >= 0 for q in doc["queries"])
 
 
+    @pytest.mark.parametrize("delta", ["5", "-5"])
+    def test_delta_without_data_is_config_error(self, runner, tmp_path, points_csv, delta):
+        _, tree = build_tree(runner, tmp_path, points_csv)
+        wl = tmp_path / "wl.csv"
+        wl.write_text("0,0,1,1\n")
+        res = runner.invoke(
+            main, ["range-query", "--tree", str(tree), "--workload", str(wl), "--delta", delta]
+        )
+        assert res.exit_code == 1
+        assert "--delta needs --data" in res.output
+
+    def test_table_format_without_data(self, runner, tmp_path, points_csv):
+        _, tree = build_tree(runner, tmp_path, points_csv, "--noiseless")
+        wl = tmp_path / "wl.csv"
+        wl.write_text("0,0,1,1\n0,0,0,0\n")
+        res = runner.invoke(
+            main, ["range-query", "--tree", str(tree), "--workload", str(wl), "--format", "table"]
+        )
+        assert res.exit_code == 0, res.output
+        lines = res.output.splitlines()
+        assert lines[0].split() == ["#", "estimate"]
+        assert lines[2].split() == ["0", "1500.000"] and lines[3].split() == ["1", "0.000"]
+
+    def test_table_format_with_data(self, runner, tmp_path, points_csv):
+        _, tree = build_tree(runner, tmp_path, points_csv, "--noiseless")
+        wl = tmp_path / "wl.csv"
+        wl.write_text("0,0,1,1\n")
+        res = runner.invoke(
+            main,
+            [
+                "range-query", "--tree", str(tree), "--workload", str(wl),
+                "--data", str(points_csv), "--delta", "3", "--format", "table",
+            ],
+        )
+        assert res.exit_code == 0, res.output
+        lines = res.output.splitlines()
+        assert lines[0].split() == ["#", "estimate", "exact", "rel_error"]
+        assert lines[2].split() == ["0", "1500.000", "1500", "0.0000"]
+        assert lines[3].startswith("n=1  mean RE=0.0000")
+
     def test_report_label_is_the_tree_file_name(self, runner, tmp_path, points_csv):
         _, tree = build_tree(runner, tmp_path, points_csv)
         wl = tmp_path / "wl.csv"
@@ -264,6 +304,48 @@ class TestRangeQuery:
         )
         assert res.exit_code == 2, res.output
         assert "node 0: lo must be below hi" in res.output
+
+
+class TestNonFiniteParameters:
+    def test_spatial_build_theta_nan_is_config_error(self, runner, tmp_path, points_csv):
+        res, out = build_tree(runner, tmp_path, points_csv, "--theta", "nan")
+        assert res.exit_code == 1 and "theta must be finite" in res.output
+        assert not out.exists()
+
+    def test_seq_build_theta_nan_is_config_error(self, runner, tmp_path, sequences_txt):
+        res, out = TestSequenceCommands().build_pst(runner, tmp_path, sequences_txt, "--theta", "nan")
+        assert res.exit_code == 1 and "theta must be finite" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, name",
+        [("--theta", "nan", "theta"), ("--theta", "inf", "theta"), ("--lambda", "inf", "lam")],
+    )
+    def test_svt_audit_nonfinite_is_config_error(self, runner, flag, value, name):
+        res = runner.invoke(main, ["svt-audit", "--variant", "improved", flag, value])
+        assert res.exit_code == 1 and f"{name} must be" in res.output and "finite" in res.output
+
+
+class TestUnhalvableDomain:
+    def test_far_from_zero_domain_builds_and_answers(self, runner, tmp_path):
+        rng = np.random.default_rng(1)
+        pts = np.vstack([np.full((3000, 2), 1e6 + 0.3), 1e6 + rng.random((100, 2))])
+        points = tmp_path / "points.csv"
+        np.savetxt(points, pts, delimiter=",", fmt="%.17g")
+        out = tmp_path / "tree.json"
+        res = runner.invoke(main, [
+            "spatial-build", "--input", str(points), "--output", str(out), "--epsilon", "4",
+            "--domain-lo", "1e6,1e6", "--domain-hi", "1000001,1000001", "--seed", "1",
+        ])
+        assert res.exit_code == 0, res.output
+        wl = tmp_path / "wl.csv"
+        wl.write_text("1e6,1e6,1000001,1000001\n1000000.2,1000000.2,1000000.4,1000000.4\n")
+        res = runner.invoke(main, [
+            "range-query", "--tree", str(out), "--workload", str(wl), "--data", str(points),
+        ])
+        assert res.exit_code == 0, res.output
+        exact = [q["exact"] for q in json.loads(res.output)["queries"]]
+        assert exact[0] == 3100 and exact[1] >= 3000
 
 
 class TestSequenceCommands:

@@ -213,15 +213,22 @@ class TestPrivacyParams:
             required = (2 * math.exp(p.gamma) - 1) / (math.exp(p.gamma) - 1) / eps
             assert p.lam >= required * (1 - 1e-12)
 
-    def test_gamma_delta_consistency_enforced(self):
-        with pytest.raises(ParameterError):
-            PrivacyParams(epsilon=1.0, lam=2.0, theta=0.0, delta=1.5, gamma=1.0, beta=4)
-        # exact product passes
-        PrivacyParams(epsilon=1.0, lam=2.0, theta=0.0, delta=2.0, gamma=1.0, beta=4)
+    @pytest.mark.parametrize("sensitivity", [1.0, 7.5])
+    @pytest.mark.parametrize("beta", [2, 3, 4, 16])
+    def test_delta_is_gamma_times_lambda(self, beta, sensitivity):
+        p = privtree_params(0.7, beta, 0.0, sensitivity=sensitivity)
+        assert p.delta == math.log(beta) * p.lam
 
-    def test_multiplier_adds_slack(self):
-        p = privtree_params(1.0, 4, 0.0, scale_multiplier=2.0)
-        assert p.lam == pytest.approx(14.0 / 3.0, rel=1e-14)
+    def test_delta_is_derived_not_stored(self):
+        p = PrivacyParams(epsilon=1.0, lam=2.0, theta=0.0, gamma=1.5, beta=4)
+        assert p.delta == 3.0
+        with pytest.raises(TypeError):
+            PrivacyParams(epsilon=1.0, lam=2.0, theta=0.0, delta=3.0, gamma=1.5, beta=4)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_theta_rejected(self, theta):
+        with pytest.raises(ParameterError, match="theta"):
+            privtree_params(1.0, 4, theta)
 
     @pytest.mark.parametrize("beta", [1, 0, -3])
     def test_beta_below_two_rejected(self, beta):

@@ -2,6 +2,7 @@ import heapq
 import itertools
 import json
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -307,6 +308,10 @@ class TestBuildPrivatePst:
     def test_bad_epsilon(self, worked_example_data):
         with pytest.raises(ParameterError):
             build_private_pst(worked_example_data, 0.0, noiseless=True)
+
+    def test_nonfinite_theta_rejected(self, worked_example_data):
+        with pytest.raises(ParameterError, match="theta"):
+            build_private_pst(worked_example_data, 1.0, noiseless=True, theta=float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -1092,3 +1097,47 @@ class TestTruncationEquivalence:
         want = outcome(reference_dataset_check, alpha, seqs, opens, l_max)
         got = outcome(markov.SequenceDataset, alpha, tuple(map(tuple, seqs)), tuple(opens), l_max)
         assert (got if got[0] == "error" else ("ok", None)) == want
+
+
+# ---------------------------------------------------------------------------
+# build memory follows the records, not l_max
+# ---------------------------------------------------------------------------
+
+
+def reference_positions(data):
+    """The position matrix at full width, ``l_max + 1`` per row, whatever the records."""
+    width = data.l_max + 1
+    lens = np.fromiter(map(len, data.sequences), dtype=np.intp, count=data.n)
+    closed = ~np.asarray(data.open_ended, dtype=bool)
+    ids = np.full((data.n, width), START_ID, dtype=np.int32)
+    ids[:, 1:][np.arange(width - 1) < lens[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(data.sequences), np.int32
+    )
+    ids[closed, lens[closed] + 1] = END_ID
+    rows, offsets = np.nonzero(np.arange(width) < (lens + closed)[:, None])
+    return ids.reshape(-1), rows * width + offsets
+
+
+def short_records(n=3000, longest=29):
+    rng = np.random.default_rng(40)
+    return [list(rng.choice(list("abcd"), size=rng.integers(1, longest + 1))) for _ in range(n)]
+
+
+class TestBuildMemory:
+    @pytest.mark.parametrize("l_max", [5, 20, 2000])
+    @pytest.mark.parametrize("epsilon", [1.0, 1e3])
+    def test_same_release_as_full_width_positions(self, monkeypatch, l_max, epsilon):
+        data = truncate_sequences(short_records(), l_max)
+        got = build_private_pst(data, epsilon, np.random.default_rng(9))
+        monkeypatch.setattr(markov, "_positions", reference_positions)
+        assert_same_release(got, build_private_pst(data, epsilon, np.random.default_rng(9)))
+
+    def test_peak_does_not_grow_with_l_max(self):
+        data = truncate_sequences(short_records(), 20_000)
+        tracemalloc.start()
+        try:
+            build_private_pst(data, 1.0, np.random.default_rng(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -1540,3 +1540,110 @@ class TestColumnLoader:
         assert loaded._nodes is None
         assert loaded.nodes is loaded.nodes and loaded.node(3) is loaded.nodes[3]
         assert len(loaded.leaves()) == len(load_fixture("simple")[1].leaves())
+
+
+# ---------------------------------------------------------------------------
+# boxes that float arithmetic can no longer halve
+# ---------------------------------------------------------------------------
+
+
+def hot_spot_dataset(lo, n_spot=3000, n_uniform=100):
+    """``n_spot`` copies of ``lo + 0.3`` plus uniform points in the unit box
+    at ``lo``: the spot keeps splitting until its box cannot be halved."""
+    rng = np.random.default_rng(5)
+    pts = np.vstack([np.full((n_spot, 2), lo + 0.3), lo + rng.random((n_uniform, 2))])
+    return SpatialDataset(SpatialDomain((lo, lo), (lo + 1.0, lo + 1.0)), pts)
+
+
+def has_unhalvable_leaf(tree):
+    doc = tree.to_json_dict()
+    for e in doc["nodes"]:
+        lo, hi = np.array(e["lo"]), np.array(e["hi"])
+        if not e["children"] and not ((lo < (lo + hi) / 2) & ((lo + hi) / 2 < hi)).all():
+            return True
+    return False
+
+
+class TestUnhalvableBoxes:
+    @pytest.mark.parametrize("lo, depth_cap", [(1e6, spatial.DEFAULT_DEPTH_CAP), (0.0, 200)])
+    def test_privtree_builds_saves_reloads_and_answers(self, lo, depth_cap):
+        data = hot_spot_dataset(lo)
+        tree = build_privtree(
+            data, privtree_params(2.0, 4, 0.0), np.random.default_rng(1), depth_cap=depth_cap
+        )
+        assert has_unhalvable_leaf(tree)
+        attach_noisy_counts(tree, data, 2.0, noiseless=True)
+        loaded = spatial.tree_from_json_dict(json.loads(tree.dumps()))
+        assert trees_equal(loaded, tree)
+        whole = RangeQuery(data.domain.lo, data.domain.hi)
+        assert spatial.range_counts(loaded, [whole]).tolist() == [data.n]
+
+    def test_simple_tree_stops_at_unhalvable_boxes(self):
+        data = hot_spot_dataset(1e6)
+        tree = build_simple_tree(data, 1.0, 5.0, 200, np.random.default_rng(2))
+        assert has_unhalvable_leaf(tree)
+        assert trees_equal(spatial.tree_from_json_dict(json.loads(tree.dumps())), tree)
+
+    def test_unhalvable_nodes_draw_no_split_noise(self):
+        # [1, 1 + 4 ulp) halves twice; its depth-2 boxes are one ulp wide
+        ulp = math.ulp(1.0)
+        domain = SpatialDomain((1.0,), (1.0 + 4 * ulp,))
+        data = SpatialDataset(domain, np.full((5000, 1), 1.0))
+        params = privtree_params(1.0, 2, 0.0)
+        rng = np.random.default_rng(3)
+        tree = build_privtree(data, params, rng)
+        assert tree.to_json_dict()["nodes"][-1]["depth"] == 2
+        # one draw per node of depths 0 and 1 (1 + 2), none at depth 2
+        ref = np.random.default_rng(3)
+        sample_laplace(params.lam, ref, size=3)
+        assert rng.random() == ref.random()
+
+    def test_shape_audit_rejects_a_cap_past_halving(self):
+        ulp = math.ulp(1.0)
+        domain = SpatialDomain((1.0,), (1.0 + 4 * ulp,))
+        data = SpatialDataset(domain, np.full((50, 1), 1.0))
+        params = privtree_params(1.0, 2, 0.0)
+        probs, _, _ = spatial.privtree_split_probabilities(data, params, depth_cap=2)
+        assert probs.size == 3
+        with pytest.raises(ParameterError, match="cannot be halved"):
+            spatial.privtree_split_probabilities(data, params, depth_cap=3)
+        with pytest.raises(ParameterError, match="cannot be halved"):
+            spatial.simulate_privtree_shapes(
+                data, params, 10, np.random.default_rng(0), depth_cap=3
+            )
+
+
+# ---------------------------------------------------------------------------
+# library code reads and writes columns only
+# ---------------------------------------------------------------------------
+
+
+class TestColumnsOnly:
+    def test_attach_on_a_node_list_matches_the_column_tree(self, uniform_4096):
+        built = build_privtree(uniform_4096, privtree_params(1.0, 4, 0.0), np.random.default_rng(1))
+        listed = DecompTree(
+            nodes=[
+                TreeNode(id=e["id"], depth=e["depth"], lo=tuple(e["lo"]), hi=tuple(e["hi"]),
+                         children=list(e["children"]))
+                for e in built.to_json_dict()["nodes"]
+            ],
+            fanout=built.fanout,
+            params_info=built.params_info,
+        )
+        before = listed.node(0)
+        attach_noisy_counts(built, uniform_4096, 0.5, np.random.default_rng(2))
+        attach_noisy_counts(listed, uniform_4096, 0.5, np.random.default_rng(2))
+        assert listed._nodes is None
+        assert listed.dumps() == built.dumps()
+        assert listed.node(0) is not before and before.noisy_count is None
+
+    def test_shape_mask_builds_no_tree_nodes(self):
+        data = one_d_fixture()
+        tree = build_privtree(
+            data, privtree_params(1.0, 2, 0.0), np.random.default_rng(4), depth_cap=3
+        )
+        mask = spatial.tree_shape_mask(tree, depth_cap=3)
+        assert tree._nodes is None
+        assert mask == spatial.tree_shape_mask(
+            DecompTree(nodes=tree.nodes, fanout=tree.fanout), depth_cap=3
+        )

@@ -416,6 +416,14 @@ class TestDefaultAudit:
         with pytest.raises(ParameterError):
             run_default_audit(lam=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"theta": math.nan}, "theta"), ({"theta": math.inf}, "theta"), ({"lam": math.inf}, "lam")],
+    )
+    def test_nonfinite_parameter_named(self, kwargs, name):
+        with pytest.raises(ParameterError, match=f"{name} must be (positive and )?finite"):
+            run_default_audit(**kwargs)
+
 
 # ---------------------------------------------------------------------------
 # the once-per-distinct-pair integrand against the per-query reference
