@@ -149,26 +149,16 @@ def laplace_pdf(x, scale: float):
 
 
 def laplace_cdf(x, scale: float):
-    """P[Lap(scale) <= x], evaluated in closed form."""
-    _check_scale(scale)
-    x = np.asarray(x, dtype=np.float64)
-    out = np.where(
-        x <= 0,
-        0.5 * np.exp(np.minimum(x, 0.0) / scale),
-        1.0 - 0.5 * np.exp(-np.maximum(x, 0.0) / scale),
-    )
-    return float(out) if out.ndim == 0 else out
+    """P[Lap(scale) <= x], evaluated in closed form as ``laplace_sf(-x)``."""
+    return laplace_sf(-np.asarray(x, dtype=np.float64), scale)
 
 
 def laplace_sf(x, scale: float):
     """P[Lap(scale) > x] (survival function), evaluated in closed form."""
     _check_scale(scale)
     x = np.asarray(x, dtype=np.float64)
-    out = np.where(
-        x >= 0,
-        0.5 * np.exp(-np.maximum(x, 0.0) / scale),
-        1.0 - 0.5 * np.exp(np.minimum(x, 0.0) / scale),
-    )
+    e = 0.5 * np.exp(np.minimum(x, -x) / scale)  # -abs(x), keeping the sign of a NaN
+    out = np.where(x >= 0, e, 1.0 - e)
     return float(out) if out.ndim == 0 else out
 
 

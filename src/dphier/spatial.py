@@ -1066,7 +1066,7 @@ def _decision_scores(data, params, depth_cap, dims_per_level):
     levels = []
 
     def rule(depth, counts, halvable):
-        levels.append(counts)
+        levels.append(counts if depth < depth_cap else counts[:0])  # at cap 0, not even the root
         if depth < depth_cap and not halvable.all():
             raise ParameterError(f"depth_cap {depth_cap} reaches boxes that cannot be halved")
         return np.full(counts.size, depth < depth_cap - 1)
@@ -1111,8 +1111,8 @@ def simulate_privtree_shapes(
     vectorized across runs, which is what makes million-run audits feasible.
     """
     fanout = 1 << _resolve_dims_per_level(data, dims_per_level)
-    # nodes with depth < depth_cap in the complete tree, at least the root
-    ndec = max(1, (fanout**depth_cap - 1) // (fanout - 1))
+    # nodes with depth < depth_cap in the complete tree
+    ndec = (fanout**depth_cap - 1) // (fanout - 1)
     if ndec > 62:
         raise ParameterError(
             f"shape masks support at most 62 decision nodes, got {ndec}"

@@ -25,7 +25,8 @@ from multiprocessing import get_context
 import numpy as np
 from scipy import integrate
 
-from .dp_core import laplace_cdf, laplace_pdf, laplace_sf, sample_laplace
+# the audit integrand reproduces laplace_sf and laplace_cdf bit for bit
+from .dp_core import _check_scale, laplace_cdf, laplace_pdf, laplace_sf, sample_laplace
 from .errors import ParameterError, QuadratureError
 
 __all__ = [
@@ -249,22 +250,32 @@ def threshold_event_log_prob(
     noisy answer lands above (bit 1) or at/below (bit 0) x.  Kinks sit at
     ``theta`` and at every query value, which are passed as breakpoints.
 
-    Streams repeat a few ``(value, bit)`` pairs, so each distinct pair's tail
-    is evaluated once per node and the product is folded in stream order:
-    the same factors multiplied in the same order as one tail call per query.
+    The integrand works on Python floats: per node, one ``np.exp`` per
+    distinct ``(value, bit)`` pair gives ``h = exp(-|z|/s)/2`` and the factor
+    ``h if z >= 0 else 1 - h``, with ``z = x - v`` for bit 1 and ``v - x`` for
+    bit 0: the bits of ``laplace_sf``/``laplace_cdf(x - v)``.  Folded in stream
+    order, the factors give the bits of one tail call per query.
     """
     if len(values) != len(bits):
         raise ParameterError("values and bits must align")
     theta_scale = lam if theta_scale is None else theta_scale
     query_scale = lam if query_scale is None else query_scale
     vals = [float(v) for v in values]
+    _check_scale(theta_scale)
+    if vals:
+        _check_scale(query_scale)
     slot = {}
     order = [slot.setdefault((v, bool(bit)), len(slot)) for v, bit in zip(vals, bits)]
-    tails = [(v, laplace_sf if bit else laplace_cdf) for v, bit in slot]
+    two_scale = 2.0 * theta_scale
 
     def integrand(x):
-        p = laplace_pdf(x - theta, theta_scale)
-        factors = [tail(x - v, query_scale) for v, tail in tails]
+        # np.exp, not math.exp: NumPy's own (SIMD) exp need not round like libm.
+        p = float(np.exp(-abs(x - theta) / theta_scale)) / two_scale
+        factors = []
+        for v, bit in slot:
+            z = x - v if bit else v - x
+            h = 0.5 * float(np.exp(-abs(z) / query_scale))
+            factors.append(h if z >= 0 else 1.0 - h)
         for i in order:
             p *= factors[i]
         return p

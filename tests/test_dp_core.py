@@ -105,6 +105,68 @@ class TestLaplaceCdf:
             laplace_cdf(0.0, 0.0)
 
 
+def two_exp_laplace_cdf(x, scale):
+    """laplace_cdf as it was written before it became ``laplace_sf(-x)``."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.where(
+        x <= 0,
+        0.5 * np.exp(np.minimum(x, 0.0) / scale),
+        1.0 - 0.5 * np.exp(-np.maximum(x, 0.0) / scale),
+    )
+    return float(out) if out.ndim == 0 else out
+
+
+def two_exp_laplace_sf(x, scale):
+    """laplace_sf as it was written before it shared one exp per point."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.where(
+        x >= 0,
+        0.5 * np.exp(-np.maximum(x, 0.0) / scale),
+        1.0 - 0.5 * np.exp(np.minimum(x, 0.0) / scale),
+    )
+    return float(out) if out.ndim == 0 else out
+
+
+TAIL_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308]
+TAIL_SCALES = [1e-3, 0.7, 2.0, 1e3]
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestLaplaceTailBits:
+    """One shared exp per point keeps every bit of the two-exp formulas."""
+
+    @given(
+        xs=st.lists(
+            st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(TAIL_EDGES)),
+            max_size=20,
+        ),
+        scale=st.one_of(
+            st.sampled_from(TAIL_SCALES),
+            st.floats(min_value=5e-324, max_value=1e308, allow_infinity=False),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_and_scalars_match_the_two_exp_formulas(self, xs, scale):
+        with np.errstate(over="ignore"):
+            for x in [np.array(xs), *xs]:
+                assert_same_bits(laplace_sf(x, scale), two_exp_laplace_sf(x, scale))
+                assert_same_bits(laplace_cdf(x, scale), two_exp_laplace_cdf(x, scale))
+
+    @pytest.mark.parametrize("scale", TAIL_SCALES)
+    def test_normals_and_edges_match_the_two_exp_formulas(self, scale):
+        x = np.concatenate([np.random.default_rng(17).normal(size=10**5) * 3.0, TAIL_EDGES])
+        with np.errstate(over="ignore"):
+            assert_same_bits(laplace_sf(x, scale), two_exp_laplace_sf(x, scale))
+            assert_same_bits(laplace_cdf(x, scale), two_exp_laplace_cdf(x, scale))
+            assert_same_bits(laplace_cdf(x, scale), laplace_sf(-x, scale))
+
+
 class TestRho:
     def test_flat_region_value(self):
         # both tails exponential: ratio is exactly exp(1/lam)

@@ -625,7 +625,39 @@ class TestShapeAudit:
         assert spatial.shape_probability(mask, probs, parents) > 0
 
 
-coord = st.floats(0.0, 1.0, exclude_max=True, allow_nan=False, width=32)
+class TestShapeAuditAtCapZero:
+    """At depth cap 0 the root is a leaf: no node decides, none splits."""
+
+    def setup_method(self):
+        domain = SpatialDomain((0.0,), (1.0,))
+        self.data = SpatialDataset(domain, np.full((50, 1), 0.3))
+        self.params = privtree_params(1.0, 2, 0.0)
+
+    def test_no_decision_nodes_and_every_mask_matches_the_build(self):
+        probs, parents, counts = spatial.privtree_split_probabilities(
+            self.data, self.params, depth_cap=0
+        )
+        assert probs.size == parents.size == counts.size == 0
+        masks = spatial.simulate_privtree_shapes(
+            self.data, self.params, 100, np.random.default_rng(5), depth_cap=0
+        )
+        assert masks.tolist() == [0] * 100
+        for seed in range(5):
+            tree = build_privtree(
+                self.data, self.params, np.random.default_rng(seed), depth_cap=0
+            )
+            assert tree.n_nodes == 1
+            assert spatial.tree_shape_mask(tree, depth_cap=0) == 0
+        assert spatial.shape_probability(0, [], []) == 1.0
+
+    def test_simulation_draws_no_noise(self):
+        rng = np.random.default_rng(6)
+        before = rng.bit_generator.state
+        spatial.simulate_privtree_shapes(self.data, self.params, 100, rng, depth_cap=0)
+        assert rng.bit_generator.state == before
+
+
+coord =st.floats(0.0, 1.0, exclude_max=True, allow_nan=False, width=32)
 
 
 class TestRangeCountProperties:

@@ -532,3 +532,68 @@ class TestDefaultAuditVariants:
 
     def test_smallest_even_k_builds(self):
         assert all(len(scen.queries) == 2 for scen in improved_audit_battery(k=2))
+
+
+def captured_integrand(monkeypatch, values, bits, theta, lam, **kwargs):
+    """The integrand threshold_event_log_prob hands to the quadrature."""
+    captured = []
+    monkeypatch.setattr(
+        sa, "_integrate", lambda f, lower, upper, breakpoints: captured.append(f) or 0.5
+    )
+    sa.threshold_event_log_prob(values, bits, theta, lam, **kwargs)
+    (f,) = captured
+    return f
+
+
+class TestScalarIntegrand:
+    # (x - v) / s at the kink (both zeros), one subnormal off it, where exp
+    # leaves the normals (about -708) and underflows to zero (-745), and at
+    # spread-out points, where libm's exp would round differently now and then
+    OFFSETS = (
+        *(0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 708.5, -708.5, 744.9, -744.9, 1e5, -1e5),
+        *(np.random.default_rng(0).normal(size=100) * 20.0).tolist(),
+    )
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("bit", [0, 1])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.0])
+    def test_each_factor_has_the_bits_of_the_array_tail(self, monkeypatch, v, bit, scale):
+        tail = laplace_sf if bit else laplace_cdf
+        for off in self.OFFSETS:
+            x = v + off * scale
+            # at x == theta with theta_scale 0.5 the density is exactly 1.0,
+            # so the integrand returns the one factor itself
+            f = captured_integrand(
+                monkeypatch, [v], [bit], x, 1.0, theta_scale=0.5, query_scale=scale
+            )
+            got, want = f(x), tail(x - v, scale)
+            assert type(got) is float
+            assert got.hex() == want.hex(), (x, v, bit, scale)
+
+    def test_hot_path_makes_no_array_tail_calls(self, monkeypatch):
+        want = repr(run_default_audit(lam=2.0, theta=1.0, k=16))
+        event = ([1, 1, 2, 0, 1, 2] * 3, [1, 0, 0, 1, 1, 0] * 3, 1.0, 2.0)
+        want_event = sa.threshold_event_log_prob(*event, query_scale=3.0)
+
+        def refuse(x, scale):
+            raise AssertionError("the audit integrand called a dp_core tail")
+
+        for name in ("laplace_pdf", "laplace_sf", "laplace_cdf"):
+            monkeypatch.setattr(sa, name, refuse)
+        assert repr(run_default_audit(lam=2.0, theta=1.0, k=16)) == want
+        assert sa.threshold_event_log_prob(*event, query_scale=3.0) == want_event
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("which", ["theta_scale", "query_scale"])
+    def test_bad_scale_raises_as_before(self, bad, which):
+        event = ([1, 2, 2], [1, 0, 0], 1.0, 2.0)
+        got = outcome(sa.threshold_event_log_prob, *event, **{which: bad})
+        assert got == outcome(reference_event_log_prob, *event, **{which: bad})
+        assert got[0] == "ParameterError" and "scale must be positive" in got[1]
+        with pytest.raises(ParameterError, match="scale must be positive"):
+            sa.threshold_event_log_prob([], [], 1.0, 2.0, theta_scale=bad)
+
+    def test_empty_stream_ignores_the_query_scale(self):
+        got = sa.threshold_event_log_prob([], [], 1.0, 2.0, query_scale=0.0)
+        assert repr(got) == repr(reference_event_log_prob([], [], 1.0, 2.0, query_scale=0.0))
+        assert got == 0.0
