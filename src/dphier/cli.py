@@ -268,7 +268,7 @@ def cmd_seq_build(**kw):
     elapsed = time.perf_counter() - t0
     pst.save(kw["output_path"])
     click.echo(
-        f"built PST: {len(pst.nodes)} nodes over alphabet size "
+        f"built PST: {len(pst.preds)} nodes over alphabet size "
         f"{pst.alphabet.size}, {elapsed:.3f}s; wrote {kw['output_path']}"
     )
 

@@ -172,11 +172,10 @@ def rho(x, theta: float, lam: float):
 
     * ``x <= theta``: both tails are in the exponential regime and the ratio
       is exactly ``exp(1/lam)``, so the value ``1/lam`` is returned directly.
-    * ``theta < x < theta + 1``: evaluated via ``log1p``; the analytic value
-      never exceeds ``1/lam``, and the result is clamped there to keep
-      rounding from crossing the proven ceiling.
-    * ``x >= theta + 1``: both tails are near 1; ``log1p`` keeps the
-      difference accurate far into the tail.
+    * ``theta < x < theta + 1``: evaluated via ``log1p`` and clamped to
+      ``1/lam``, the proven ceiling, so rounding cannot cross it.
+    * ``x >= theta + 1``: ``log1p`` keeps the tails' difference accurate, capped
+      at :func:`rho_upper` only where that is subnormal and rounding crosses it.
     """
     _check_scale(lam)
     x = np.asarray(x, dtype=np.float64)
@@ -190,6 +189,8 @@ def rho(x, theta: float, lam: float):
         tail = np.log1p(-0.5 * np.exp(np.minimum(u, 0.0) / lam)) - np.log1p(
             -0.5 * np.exp(np.minimum(u + 1.0, 0.0) / lam)
         )
+    upper = rho_upper(x, theta, lam)
+    tail = np.where(upper < np.finfo(np.float64).tiny, np.minimum(tail, upper), tail)
     out = np.where(u >= 0.0, flat, np.where(u + 1.0 > 0.0, mid, tail))
     return float(out) if out.ndim == 0 else out
 

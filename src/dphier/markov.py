@@ -2,8 +2,10 @@
 
 A prediction suffix tree (PST) node holds a predictor string (the suffix
 context, extended leftward as the tree deepens) and a next-symbol histogram
-over the alphabet plus the end marker.  The private build runs the
-bias-decayed split engine :func:`dphier.dp_core.grow_levels` with the score
+over the alphabet plus the end marker.  A :class:`Pst` stores its nodes as
+columns; a :class:`PstNode` is a value made on request.  The private build
+runs the bias-decayed split engine :func:`dphier.dp_core.grow_levels` with
+the score
 
     score(v) = ||hist(v)||_1 - max(hist(v))
 
@@ -24,7 +26,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -223,9 +225,9 @@ def pst_score(hist):
 
 @dataclass
 class PstNode:
-    """PST node: predictor ids (deepest-first growth is leftward prepend),
-    next-symbol histogram indexed by symbol id (START slot unused, always 0),
-    and children keyed by the prepended symbol id."""
+    """A PST node as a value: predictor ids (deepest-first growth is leftward
+    prepend), next-symbol histogram indexed by symbol id (START slot unused,
+    always 0), and children keyed by the prepended symbol id."""
 
     id: int
     predictor: tuple
@@ -241,41 +243,58 @@ class PstNode:
         return not self.children
 
 
-@dataclass
 class Pst:
-    nodes: list
-    alphabet: Alphabet
-    l_max: int
-    params: PrivacyParams | None = None
-    params_info: dict = field(default_factory=dict)
-    root: int = 0
-    _reader: _ContextAutomaton | None = field(default=None, repr=False, compare=False)
+    """A released PST, stored as columns indexed by node id: ``preds[i]`` is
+    node ``i``'s predictor, ``child[i, s]`` the id of its child that prepends
+    symbol id ``s`` (-1 if none) and ``hist[i]`` its next-symbol histogram by
+    symbol id (``hist`` is None for a PST without histograms).
+    ``Pst(nodes=...)`` converts :class:`PstNode` values once, without checking
+    them: node ``i`` is ``nodes[i]`` whatever its ``id``, and unless every
+    value has a ``hist`` the PST has none.  ``node(i)`` and ``nodes`` build
+    values whose ``hist`` is a row view of the matrix.  ``_reader`` caches the
+    context automaton."""
+
+    def __init__(self, alphabet: Alphabet, l_max: int, *, nodes=None, preds=None,
+                 child=None, hist=None, params: PrivacyParams | None = None,
+                 params_info: dict | None = None, root: int = 0):
+        if nodes is not None:
+            preds = [v.predictor for v in nodes]
+            child = np.full((len(nodes), alphabet.size + 2), -1, dtype=np.int64)
+            for i, v in enumerate(nodes):
+                child[i, list(v.children)] = list(v.children.values())
+            if all(v.hist is not None for v in nodes):
+                hist = np.array([v.hist for v in nodes], dtype=np.float64)
+        self.preds, self.child, self.hist = preds, child, hist
+        self.alphabet, self.l_max = alphabet, l_max
+        self.params, self.root = params, root
+        self.params_info = {} if params_info is None else params_info
+        self._reader: _ContextAutomaton | None = None
 
     def node(self, nid: int) -> PstNode:
-        return self.nodes[nid]
+        children = {sym: c for sym, c in enumerate(self.child[nid].tolist()) if c >= 0}
+        hist = None if self.hist is None else self.hist[nid]
+        return PstNode(nid, self.preds[nid], children, hist)
+
+    @property
+    def nodes(self) -> list:
+        return [self.node(i) for i in range(len(self.preds))]
 
     def to_json_dict(self) -> dict:
-        keys = ("epsilon", "lambda", "theta", "delta")
-        out_nodes = []
-        for v in self.nodes:
-            entry = {
-                "id": v.id,
-                "predictor": [self.alphabet.token_of(t) for t in v.predictor],
-                "children": {
-                    self.alphabet.token_of(sym): cid
-                    for sym, cid in sorted(v.children.items())
-                },
-            }
-            if v.hist is not None:
-                entry["hist"] = {
-                    self.alphabet.token_of(sym): float(v.hist[sym])
-                    for sym in (END_ID, *self.alphabet.symbol_ids)
-                }
-            out_nodes.append(entry)
+        token = (START_TOKEN, END_TOKEN, *self.alphabet.symbols)
+        out_nodes = [
+            {"id": i, "predictor": [token[t] for t in pred], "children": {}}
+            for i, pred in enumerate(self.preds)
+        ]
+        rows, syms = np.nonzero(self.child >= 0)
+        for i, sym, c in zip(rows.tolist(), syms.tolist(), self.child[rows, syms].tolist()):
+            out_nodes[i]["children"][token[sym]] = c
+        if self.hist is not None:  # every column but START's
+            for entry, row in zip(out_nodes, self.hist[:, 1:].tolist()):
+                entry["hist"] = dict(zip(token[1:], row))
         return {
             "alphabet": list(self.alphabet.symbols),
             "l_max": self.l_max,
-            "params": {k: self.params_info.get(k) for k in keys},
+            "params": {k: self.params_info.get(k) for k in ("epsilon", "lambda", "theta", "delta")},
             "nodes": out_nodes,
         }
 
@@ -289,59 +308,59 @@ class Pst:
 
 
 def pst_from_json_dict(doc: dict) -> Pst:
+    """A PST from its document, read entry by entry into columns, so the
+    first defect in document order names the error."""
     try:
         alphabet = Alphabet(tuple(doc["alphabet"]))
-        l_max = int(doc["l_max"])
+        l_max = doc["l_max"]
+        if type(l_max) is not int or l_max < 1:
+            raise ParameterError(f"l_max must be an integer >= 1, got {l_max!r}")
         params_info = dict(doc["params"])
         raw_nodes = doc["nodes"]
     except (KeyError, TypeError, ParameterError) as exc:
         raise InputDataError(f"malformed PST document: {exc}") from exc
     size = len(raw_nodes)
-    nodes = [None] * size
+    preds, rows, links = [None] * size, [None] * size, [None] * size
     for k, entry in enumerate(raw_nodes):
         try:
             nid = int(entry["id"])
-            if not 0 <= nid < size or nodes[nid] is not None:
+            if not 0 <= nid < size or preds[nid] is not None:
                 raise InputDataError(f"bad or duplicate node id {nid}")
-            hist = None
             if "hist" in entry:
-                hist = np.zeros(alphabet.size + 2, dtype=np.float64)
+                row = rows[nid] = [0.0] * (alphabet.size + 2)
                 for tok, cnt in entry["hist"].items():
-                    hist[alphabet.id_of(tok)] = float(cnt)
-                if not (np.isfinite(hist).all() and (hist >= 0.0).all()):
+                    row[alphabet.id_of(tok)] = float(cnt)
+                    if tok == START_TOKEN:
+                        raise InputDataError(f"node {nid}: histogram has a {START_TOKEN!r} count")
+                if not all(0.0 <= c < math.inf for c in row):
                     raise InputDataError(f"node {nid}: histogram counts must be finite and >= 0")
-            children = {
-                alphabet.id_of(tok): int(cid) for tok, cid in entry["children"].items()
-            }
-            if any(not 0 <= cid < size for cid in children.values()):
+            kids = [(nid, alphabet.id_of(tok), int(cid)) for tok, cid in entry["children"].items()]
+            if any(not 0 <= cid < size for _, _, cid in kids):
                 raise InputDataError(f"node {nid} references an unknown child id")
-            nodes[nid] = PstNode(
-                id=nid,
-                predictor=tuple(alphabet.id_of(t) for t in entry["predictor"]),
-                children=children,
-                hist=hist,
-            )
+            links[nid] = kids  # (parent, symbol, child)
+            preds[nid] = tuple(alphabet.id_of(t) for t in entry["predictor"])
         except InputDataError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
             raise InputDataError(
                 f"node entry {k}: a field is missing or malformed ({type(exc).__name__}: {exc})"
             ) from exc
-    root = next((v.id for v in nodes if v is not None and not v.predictor), None)
+    bare = [nid for nid, row in enumerate(rows) if row is None]
+    if 0 < len(bare) < size:
+        raise InputDataError(f"node {bare[0]} has no histogram, but other nodes have one")
+    root = next((nid for nid, pred in enumerate(preds) if not pred), None)
     if root is None:
         raise InputDataError("PST document has no empty-predictor root")
-    links = np.array(
-        [
-            (v.id, c, nodes[c].predictor == (sym,) + v.predictor)
-            for v in nodes
-            for sym, c in v.children.items()
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    check_tree_links(size, root, links[:, 0], links[:, 1], links[:, 2] == 1)
-    return Pst(
-        nodes=nodes, alphabet=alphabet, l_max=l_max, params_info=params_info, root=root
-    )
+    # links in id order of the parent, then in document order
+    links = list(itertools.chain.from_iterable(links))
+    extends = [preds[c] == (s,) + preds[p] for p, s, c in links]
+    parents, syms, kids = np.array(links, dtype=np.int64).reshape(-1, 3).T
+    check_tree_links(size, root, parents, kids, extends)
+    child = np.full((size, alphabet.size + 2), -1, dtype=np.int64)
+    child[parents, syms] = kids
+    hist = None if bare else np.array(rows, dtype=np.float64)
+    return Pst(alphabet, l_max, preds=preds, child=child, hist=hist,
+               params_info=params_info, root=root)
 
 
 def load_pst(path) -> Pst:
@@ -412,12 +431,12 @@ def build_private_pst(
     ``b - 1`` histogram counts, so giving the per-count histogram stage
     ``b - 1`` times the structure budget balances their noise levels.
     """
-    if data.alphabet.size < 1:
-        raise ParameterError("alphabet must be nonempty")
     if not epsilon > 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
     if not noiseless and rng is None:
         raise ParameterError("rng is required unless noiseless=True")
+    if depth_cap < 0:
+        raise ParameterError(f"depth_cap must be nonnegative, got {depth_cap!r}")
     beta = data.alphabet.fanout
     if tree_budget_fraction is None:
         tree_budget_fraction = 1.0 / beta
@@ -430,29 +449,22 @@ def build_private_pst(
     params = privtree_params(eps_tree, beta, theta, sensitivity=float(data.l_max))
 
     width = data.alphabet.size + 2
+    kids = (START_ID, *data.alphabet.symbol_ids)
     symbols, positions = _positions(data)
     next_sym = symbols[positions + 1]
-    nodes = [PstNode(id=0, predictor=())]
-    level = nodes[:]
-    leaves, leaf_hists = [], []  # exact histograms live only in leaf_hists
+    preds, hist, levels = [()], [], []  # hist: exact, until noised below
 
     def decide(depth, sizes, items):
-        nonlocal level
+        first = len(preds) - sizes.size
         node_of = np.repeat(np.arange(sizes.size), sizes)
         hists = np.bincount(
             node_of * width + next_sym[items], minlength=sizes.size * width
         ).reshape(sizes.size, width).astype(np.float64)
-        unblocked = [v.predictor[:1] != (START_ID,) for v in level]
-        eligible = np.array(unblocked) & (depth < depth_cap)
+        eligible = np.array([p[:1] != (START_ID,) for p in preds[first:]]) & (depth < depth_cap)
         split = biased_split(pst_score(hists), depth, params, rng, eligible, noiseless)
-        leaves.extend(v for v, s in zip(level, split) if not s)
-        leaf_hists.append(hists[~split])
-        first = len(nodes)
-        for parent in (v for v, s in zip(level, split) if s):
-            for sym in (START_ID, *data.alphabet.symbol_ids):
-                parent.children[sym] = len(nodes)
-                nodes.append(PstNode(id=len(nodes), predictor=(sym,) + parent.predictor))
-        level = nodes[first:]
+        hist.append(hists)
+        levels.append((first, split))
+        preds.extend((sym,) + p for p, s in zip(preds[first:], split) if s for sym in kids)
         return split
 
     def child_codes(depth, items, parent):
@@ -461,35 +473,26 @@ def build_private_pst(
 
     grow_levels(positions.size, beta, decide, child_codes)
 
-    # leaves come level by level, hence in id order
-    hists = np.concatenate(leaf_hists)
+    # BFS ids: the s-th splitting node's children are 1 + s*b ... s*b + b, START first
+    split = np.concatenate([s for _, s in levels])
+    child = np.full((len(preds), width), -1, dtype=np.int64)
+    child[np.ix_(split, kids)] = np.arange(1, len(preds)).reshape(-1, beta)
+    hist = np.concatenate(hist)
     if not noiseless:
-        hists[:, 1:] += sample_laplace(
-            data.l_max / eps_hist, rng, size=(len(leaves), width - 1)
+        hist[~split, 1:] += sample_laplace(
+            data.l_max / eps_hist, rng, size=(np.count_nonzero(~split), width - 1)
         )
-    for node, hist in zip(leaves, hists):
-        node.hist = hist
-    # internal histograms are leaf sums; negatives are zeroed afterwards so
-    # the sums themselves stay unbiased
-    for node in reversed(nodes):
-        if not node.is_leaf:
-            node.hist = sum(nodes[c].hist for c in node.children.values())
-    for node in nodes:
-        np.maximum(node.hist, 0.0, out=node.hist)
+    # internal histograms are their children's sums, deepest level first;
+    # negatives are zeroed afterwards so the sums themselves stay unbiased
+    for first, level_split in reversed(levels):
+        inner = first + np.flatnonzero(level_split)
+        hist[inner] = sum(hist[c] for c in child[inner][:, kids].T)
+    np.maximum(hist, 0.0, out=hist)
 
-    info = {
-        "epsilon": float(epsilon),
-        "lambda": params.lam,
-        "theta": params.theta,
-        "delta": params.delta,
-    }
-    return Pst(
-        nodes=nodes,
-        alphabet=data.alphabet,
-        l_max=data.l_max,
-        params=params,
-        params_info=info,
-    )
+    info = {"epsilon": float(epsilon), "lambda": params.lam, "theta": params.theta,
+            "delta": params.delta}
+    return Pst(data.alphabet, data.l_max, preds=preds, child=child, hist=hist,
+               params=params, params_info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +513,10 @@ def _to_ids(pst: Pst, tokens):
 def _deepest_suffix_node(pst: Pst, context_ids) -> int:
     nid = pst.root
     for sym in reversed(context_ids):
-        child = pst.node(nid).children.get(sym)
-        if child is None:
+        nxt = pst.child.item(nid, sym)
+        if nxt < 0:
             break
-        nid = child
+        nid = nxt
     return nid
 
 
@@ -547,17 +550,19 @@ class _ContextAutomaton:
 
     def __init__(self, pst: Pst):
         self._pst = pst
+        table = pst.child.tolist()
         self._prefixes = {()}
         stack, reached = [(pst.root, ())], 0
         while stack:
             nid, string = stack.pop()
             reached += 1
-            if reached > len(pst.nodes):
+            if reached > len(table):
                 raise InputDataError("PST child links do not form a tree")
-            for sym, child in pst.node(nid).children.items():
-                longer = (sym,) + string
-                self._prefixes.update(longer[:i] for i in range(1, len(longer) + 1))
-                stack.append((child, longer))
+            for sym, child in enumerate(table[nid]):
+                if child >= 0:
+                    longer = (sym,) + string
+                    self._prefixes.update(longer[:i] for i in range(1, len(longer) + 1))
+                    stack.append((child, longer))
         self._cols = (END_ID, *pst.alphabet.symbol_ids)
         self.states = {}  # context string -> _State
         self.empty = self._state(())
@@ -566,10 +571,8 @@ class _ContextAutomaton:
         state = self.states.get(string)
         if state is None:
             nid = _deepest_suffix_node(self._pst, string)
-            hist = self._pst.node(nid).hist
-            if hist is None:
-                raise InputDataError("PST has no histograms attached")
-            state = _State(string, nid, float(hist.sum()), _sampling_row(hist, self._cols))
+            hist = self._pst.hist[nid]
+            state = _State(string, nid, float(hist.sum()), _sampling_row(hist.tolist(), self._cols))
             # one state per string, also when concurrent readers race here
             state = self.states.setdefault(string, state)
         return state
@@ -595,7 +598,7 @@ def _sampling_row(hist, cols) -> list:
     """
     acc, top, row = 0.0, -math.inf, []
     for c in cols:
-        acc += float(hist[c])
+        acc += hist[c]
         if acc > top:
             top = acc
         row.append(top)
@@ -603,6 +606,8 @@ def _sampling_row(hist, cols) -> list:
 
 
 def _automaton(pst: Pst) -> _ContextAutomaton:
+    if pst.hist is None:
+        raise InputDataError("PST has no histograms attached")
     if pst._reader is None:
         pst._reader = _ContextAutomaton(pst)
     return pst._reader
@@ -637,19 +642,16 @@ def estimate_string_count(pst: Pst, s_q) -> float:
         raise ParameterError("query strings never contain the start marker")
     if any(t == END_ID for t in ids[:-1]):
         raise ParameterError("the end marker may only terminate a query string")
-    root_hist = pst.node(pst.root).hist
-    if root_hist is None:
-        raise InputDataError("PST has no histograms attached")
     reader = _automaton(pst)
     state = reader.empty
-    ans = float(root_hist[ids[0]])
+    ans = float(pst.hist[pst.root, ids[0]])
     for i in range(1, len(ids)):
         if ans == 0.0:
             return 0.0
         state = reader.step(state, ids[i - 1])
         if state.mag == 0.0:
             return 0.0
-        ans *= float(pst.node(state.node).hist[ids[i]]) / state.mag
+        ans *= float(pst.hist[state.node, ids[i]]) / state.mag
     return ans
 
 
@@ -665,14 +667,11 @@ def top_k_strings(pst: Pst, k: int):
     """
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ParameterError(f"k must be an integer >= 1, got {k!r}")
-    if pst.node(pst.root).hist is None:
-        raise InputDataError("PST has no histograms attached")
     reader = _automaton(pst)
-    root_hist = pst.node(pst.root).hist
+    root_hist = pst.hist[pst.root].tolist()
     # an entry carries the state of its string without the last symbol
-    heap = []
-    for sym in pst.alphabet.symbol_ids:
-        heappush(heap, (-float(root_hist[sym]), 1, (sym,), reader.empty))
+    heap = [(-root_hist[sym], 1, (sym,), reader.empty) for sym in pst.alphabet.symbol_ids]
+    heapify(heap)
     out = []
     while heap and len(out) < k:
         neg_est, _, ids, state = heappop(heap)
@@ -681,9 +680,9 @@ def top_k_strings(pst: Pst, k: int):
         if len(ids) >= pst.l_max:
             continue
         state = reader.step(state, ids[-1])
-        hist, mag = pst.node(state.node).hist, state.mag
+        hist, mag = pst.hist[state.node].tolist(), state.mag
         for sym in pst.alphabet.symbol_ids:
-            child_est = est * float(hist[sym]) / mag if mag > 0.0 else 0.0
+            child_est = est * hist[sym] / mag if mag > 0.0 else 0.0
             heappush(heap, (-child_est, len(ids) + 1, ids + (sym,), state))
     return out
 
@@ -702,10 +701,9 @@ def generate_sequences(pst: Pst, count: int, rng: np.random.Generator):
     """
     if not (isinstance(count, (int, np.integer)) and count >= 0):
         raise ParameterError(f"count must be a nonnegative integer, got {count!r}")
-    root_hist = pst.node(pst.root).hist
-    if root_hist is None:
+    if pst.hist is None:
         raise InputDataError("PST has no histograms attached")
-    if float(root_hist.sum()) <= 0.0:
+    if float(pst.hist[pst.root].sum()) <= 0.0:
         raise GenerationError("root histogram is empty; nothing to sample")
     reader = _automaton(pst)
     start = reader.step(reader.empty, START_ID)

@@ -225,6 +225,12 @@ class TestRhoBound:
         assert 0.0 <= r <= 1.0 / lam
         assert r <= rho_upper(x, theta, lam)
 
+    def test_subnormal_tail_stays_under_underflowed_bound(self):
+        # Both tails are subnormal here and rho_upper underflows to 0.0.
+        x, theta, lam = 587787.0, 0.0, 795.5
+        assert rho_upper(x, theta, lam) == 0.0
+        assert rho(x, theta, lam) == 0.0
+
 
 class TestGeometricTailSum:
     """Summing the bound over scores theta+1, theta+1+delta, ... is geometric."""
