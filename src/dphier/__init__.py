@@ -7,7 +7,9 @@ queries over them, and audits sparse-vector-technique variants by exact
 probability-ratio computation.
 """
 
-from . import dp_core, evalbench, markov, spatial, svt_audit
+import importlib
+
+from . import dp_core, evalbench, markov, spatial
 from .errors import (
     DphierError,
     GenerationError,
@@ -31,3 +33,10 @@ __all__ = [
     "spatial",
     "svt_audit",
 ]
+
+
+def __getattr__(name):
+    # svt_audit imports scipy.integrate, which only the audit needs
+    if name == "svt_audit":
+        return importlib.import_module(f"{__name__}.svt_audit")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,8 +24,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import evalbench, markov, spatial, svt_audit
-from .dp_core import privtree_params
+from . import evalbench, markov, spatial
+from .dp_core import float_texts, privtree_params
 from .errors import InputDataError, ParameterError, QuadratureError
 
 
@@ -98,6 +98,21 @@ def _write_text(path, text: str) -> None:
 
 def _dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
+
+
+_QUERY_ROW = '    {\n      "estimate": %s,\n      "exact": %s,\n      "rel_error": %s\n    }'
+
+
+def _report_json(report: evalbench.EvalReport) -> str:
+    """``_dump_json(report.to_json_dict())``, with the query rows, which sort
+    last, written from the report's columns."""
+    text = _dump_json({**report.to_json_dict(), "queries": []})
+    n = report.estimates.size
+    if not n:
+        return text
+    values = float_texts(np.stack([report.estimates, report.exacts, report.rel_errors], axis=1))
+    rows = ",\n".join([_QUERY_ROW] * n) % tuple(values.ravel().tolist())
+    return text[: -len("[]\n}")] + "[\n" + rows + "\n  ]\n}"
 
 
 def _check_jobs(jobs: int) -> None:
@@ -220,7 +235,7 @@ def cmd_range_query(**kw):
     if kw["fmt"] == "table":
         _write_text(kw["output_path"], report.to_text_table())
     else:
-        _write_text(kw["output_path"], _dump_json(report.to_json_dict()))
+        _write_text(kw["output_path"], _report_json(report))
 
 
 @main.command("seq-build")
@@ -339,6 +354,7 @@ _VARIANTS = ("all", "binary", "vanilla", "improved")
 @_guarded
 def cmd_svt_audit(**kw):
     """Exact probability-ratio audit of the threshold-mechanism variants."""
+    from . import svt_audit  # SciPy loads only for the audit
     kw = _apply_config(kw.pop("config_path"), kw)
     variant = str(kw["variant"]).lower()
     _check_jobs(kw["jobs"])

@@ -7,6 +7,7 @@ that need parallelism should hand each worker its own stream (e.g. via
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ __all__ = [
     "biased_split",
     "check_tree_links",
     "compose_budgets",
+    "float_texts",
     "grow_levels",
     "laplace_cdf",
     "laplace_pdf",
@@ -252,9 +254,29 @@ def grow_levels(n_items: int, fanout: int, decide, child_codes) -> None:
         # int32 keeps the per-item temporaries (and peak memory) small
         parent = np.repeat(np.arange(n_split, dtype=np.int32), sizes[split])
         key = child_codes(depth, items, parent) + parent * fanout
-        items = items[np.argsort(key, kind="stable")]
+        # a stable sort by key, as LSD radix passes over 16-bit digits (NumPy
+        # radix-sorts 16-bit keys), each pass stable on the order so far
+        order = np.argsort(key.astype(np.uint16), kind="stable")
+        shift = 16
+        while (n_split * fanout - 1) >> shift:
+            order = order[np.argsort((key[order] >> shift).astype(np.uint16), kind="stable")]
+            shift += 16
+        items = items[order]
         sizes = np.bincount(key, minlength=n_split * fanout)
         depth += 1
+
+
+def float_texts(values) -> np.ndarray:
+    """The JSON text of each value of a float array, as ``json.dumps`` writes
+    it (``NaN`` and ``Infinity`` included), in an object array of its shape.
+
+    ``json.dumps`` runs once over the distinct values, taken by bit pattern so
+    that ``-0.0`` stays apart from ``0.0``: a tree's regions repeat few
+    distinct coordinates many times."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object)[inverse].reshape(values.shape)
 
 
 def check_tree_links(size: int, root: int, parents, children, extends) -> None:

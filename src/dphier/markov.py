@@ -27,11 +27,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, biased_split, check_tree_links
-from .dp_core import grow_levels, privtree_params, sample_laplace
+from .dp_core import float_texts, grow_levels, privtree_params, sample_laplace
 from .errors import GenerationError, InputDataError, ParameterError
 
 __all__ = [
@@ -280,26 +281,42 @@ class Pst:
         return [self.node(i) for i in range(len(self.preds))]
 
     def to_json_dict(self) -> dict:
-        token = (START_TOKEN, END_TOKEN, *self.alphabet.symbols)
-        out_nodes = [
-            {"id": i, "predictor": [token[t] for t in pred], "children": {}}
-            for i, pred in enumerate(self.preds)
-        ]
-        rows, syms = np.nonzero(self.child >= 0)
-        for i, sym, c in zip(rows.tolist(), syms.tolist(), self.child[rows, syms].tolist()):
-            out_nodes[i]["children"][token[sym]] = c
-        if self.hist is not None:  # every column but START's
-            for entry, row in zip(out_nodes, self.hist[:, 1:].tolist()):
-                entry["hist"] = dict(zip(token[1:], row))
-        return {
-            "alphabet": list(self.alphabet.symbols),
-            "l_max": self.l_max,
-            "params": {k: self.params_info.get(k) for k in ("epsilon", "lambda", "theta", "delta")},
-            "nodes": out_nodes,
-        }
+        """The release document as a dict, read back from :meth:`dumps`."""
+        return json.loads(self.dumps())
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """The release document: ``json.dumps(doc, sort_keys=True)`` of
+        ``{"alphabet", "l_max", "params", "nodes": [{"children", "hist"?,
+        "id", "predictor"}]}``, written row by row from the columns; it
+        defines the format.  Children and histograms are keyed by token, and
+        a histogram has no START count."""
+        token = (START_TOKEN, END_TOKEN, *self.alphabet.symbols)
+        quoted = [encode_basestring_ascii(t) for t in token]
+        by_token = sorted(range(len(token)), key=token.__getitem__)  # symbol ids
+        n = len(self.preds)
+        rows, cols = np.nonzero(self.child[:, by_token] >= 0)
+        syms = np.array(by_token, dtype=np.int64)[cols]
+        kids = self.child[rows, syms].tolist()
+        links = [f"{quoted[s]}: {c}" for s, c in zip(syms.tolist(), kids)]
+        first = np.searchsorted(rows, np.arange(n + 1)).tolist()
+        slots = np.empty((n, 3 if self.hist is None else len(token) + 2), dtype=object)
+        slots[:, 0] = [", ".join(links[a:b]) for a, b in zip(first, first[1:])]
+        slots[:, -2] = range(n)
+        slots[:, -1] = [", ".join([quoted[t] for t in pred]) for pred in self.preds]
+        hist = ""
+        if self.hist is not None:
+            kept = [sym for sym in by_token if sym != START_ID]
+            slots[:, 1:-2] = float_texts(self.hist[:, kept])
+            keys = ", ".join(quoted[sym].replace("%", "%%") + ": %s" for sym in kept)
+            hist = '"hist": {' + keys + "}, "
+        row = '{"children": {%s}, ' + hist + '"id": %s, "predictor": [%s]}'
+        nodes = ", ".join([row] * n) % tuple(slots.ravel().tolist())
+        params = {k: self.params_info.get(k) for k in ("epsilon", "lambda", "theta", "delta")}
+        return (
+            f'{{"alphabet": {json.dumps(list(self.alphabet.symbols))}, '
+            f'"l_max": {json.dumps(self.l_max)}, "nodes": [{nodes}], '
+            f'"params": {json.dumps(params, sort_keys=True)}}}'
+        )
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -317,9 +334,9 @@ def pst_from_json_dict(doc: dict) -> Pst:
             raise ParameterError(f"l_max must be an integer >= 1, got {l_max!r}")
         params_info = dict(doc["params"])
         raw_nodes = doc["nodes"]
-    except (KeyError, TypeError, ParameterError) as exc:
+        size = len(raw_nodes)
+    except (KeyError, TypeError, ValueError, ParameterError) as exc:
         raise InputDataError(f"malformed PST document: {exc}") from exc
-    size = len(raw_nodes)
     preds, rows, links = [None] * size, [None] * size, [None] * size
     for k, entry in enumerate(raw_nodes):
         try:

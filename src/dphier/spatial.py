@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, biased_count, biased_split
-from .dp_core import check_tree_links, grow_levels, laplace_sf, sample_laplace
+from .dp_core import check_tree_links, float_texts, grow_levels, laplace_sf, sample_laplace
 from .errors import InputDataError, ParameterError
 
 __all__ = [
@@ -205,27 +205,39 @@ class DecompTree:
         return [v for v in self.nodes if v.is_leaf]
 
     def to_json_dict(self) -> dict:
-        """Serializable release form; refuses to leak exact counts."""
+        """The release document as a dict, read back from :meth:`dumps`."""
+        return json.loads(self.dumps())
+
+    def dumps(self) -> str:
+        """The release document: ``json.dumps(doc, sort_keys=True)`` of
+        ``{"fanout", "params", "nodes": [{"children", "depth", "hi", "id",
+        "lo", "noisy_count"?}]}``, written row by row from the columns; it
+        defines the format.  Refuses to leak exact counts."""
         if self._nodes is not None and any(v.exact_count is not None for v in self._nodes):
             raise InputDataError("tree still carries exact counts; refusing to serialize")
         cols = _columns(self)
-        lo, hi, count = cols.lo.tolist(), cols.hi.tolist(), cols.count.tolist()
-        depth, first, kids = cols.depth.tolist(), cols.first.tolist(), cols.kids.tolist()
-        out_nodes = [
-            {"id": i, "depth": dep, "lo": lo_i, "hi": hi_i, "children": kids[a:b]}
-            for i, (dep, lo_i, hi_i, a, b) in enumerate(zip(depth, lo, hi, first, first[1:]))
-        ]
-        for i in np.flatnonzero(cols.has_count).tolist():
-            out_nodes[i]["noisy_count"] = count[i]
+        n = cols.depth.size
+        d = cols.lo.size // n if n else 0
+        coords = ", ".join(["%s"] * d)
+        row = (
+            '{"children": [%s], "depth": %s, "hi": [' + coords
+            + '], "id": %s, "lo": [' + coords + "]%s}"
+        )
+        slots = np.empty((n, 2 * d + 4), dtype=object)
+        kids, first = list(map(str, cols.kids.tolist())), cols.first.tolist()
+        slots[:, 0] = [", ".join(kids[a:b]) for a, b in zip(first, first[1:])]
+        slots[:, 1] = cols.depth.tolist()
+        # children share their parent's faces, so hi and lo share one pass
+        slots[:, np.r_[2 : d + 2, d + 3 : 2 * d + 3]] = float_texts(
+            np.hstack([cols.hi.reshape(n, d), cols.lo.reshape(n, d)])
+        )
+        slots[:, d + 2] = range(n)
+        slots[:, -1] = ""
+        slots[cols.has_count, -1] = ', "noisy_count": ' + float_texts(cols.count[cols.has_count])
         keys = ("epsilon", "lambda", "theta", "delta")
-        return {
-            "fanout": self.fanout,
-            "params": {k: self.params_info.get(k) for k in keys},
-            "nodes": out_nodes,
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        params = json.dumps({k: self.params_info.get(k) for k in keys}, sort_keys=True)
+        nodes = ", ".join([row] * n) % tuple(slots.ravel().tolist())
+        return f'{{"fanout": {json.dumps(self.fanout)}, "nodes": [{nodes}], "params": {params}}}'
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

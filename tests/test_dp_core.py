@@ -406,3 +406,30 @@ class TestGrowLevels:
     def test_level_where_no_node_splits_ends_the_walk(self):
         calls = self.record(5, 2, lambda depth, sizes: [False], lambda d, items: items)
         assert calls == [("decide", 0, [5], [0, 1, 2, 3, 4])]
+
+    @pytest.mark.parametrize("fanout, n_levels", [(1 << 17, 1), (300, 2)])
+    def test_regroup_above_two_to_the_sixteen_keys_is_the_stable_int32_sort(
+        self, fanout, n_levels
+    ):
+        # keys 1 and 65537 share their low 16 bits, so the high pass decides
+        # their order; ties test stability
+        rng = np.random.default_rng(6)
+        n_items = 100_000
+        codes = rng.choice([0, 1, 2, 65_536 % fanout, 65_537 % fanout, fanout - 1], n_items)
+        seen = []
+
+        def decide(depth, sizes, items):
+            seen.append(items.copy())
+            return np.full(sizes.size, depth < n_levels)
+
+        def child_codes(depth, items, parent):
+            key = codes[items] + parent.astype(np.int64) * fanout
+            seen.append(items[np.argsort(key.astype(np.int32), kind="stable")])
+            return codes[items]
+
+        grow_levels(n_items, fanout, decide, child_codes)
+        n_split = 1 if n_levels == 1 else fanout
+        assert n_split * fanout > 1 << 16
+        assert len(seen) == 2 * n_levels + 1
+        for want, got in zip(seen[1::2], seen[2::2]):
+            assert np.array_equal(got, want)

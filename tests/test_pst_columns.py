@@ -42,9 +42,11 @@ def reference_pst_dumps(doc):
     """``dumps()`` of a document read by the per-node loader and written by
     the per-node serializer that the column forms replaced.
 
-    The loader is kept as it was, except for the three checks marked
-    "added": ``l_max`` must be an integer >= 1, no histogram may count the
-    start marker, and either every node carries a histogram or none does.
+    The loader is kept as it was, except for the checks marked "added":
+    ``l_max`` must be an integer >= 1, no histogram may count the start
+    marker, either every node carries a histogram or none does, and a
+    ``params`` that is no mapping (``"ab"``) or a ``nodes`` without a length
+    (``5``) is a malformed document.
     """
     try:
         alphabet = Alphabet(tuple(doc["alphabet"]))
@@ -53,9 +55,9 @@ def reference_pst_dumps(doc):
             raise ParameterError(f"l_max must be an integer >= 1, got {l_max!r}")
         params_info = dict(doc["params"])
         raw_nodes = doc["nodes"]
-    except (KeyError, TypeError, ParameterError) as exc:
+        size = len(raw_nodes)  # added: inside the guard
+    except (KeyError, TypeError, ValueError, ParameterError) as exc:  # added: ValueError
         raise InputDataError(f"malformed PST document: {exc}") from exc
-    size = len(raw_nodes)
     nodes = [None] * size
     for k, entry in enumerate(raw_nodes):
         try:
@@ -142,6 +144,8 @@ def _mutate_top(draw, doc):
         doc[key] = draw(st.sampled_from([None, [], "ab", {"epsilon": 2.0}]))
     elif key == "alphabet":
         doc[key] = draw(st.sampled_from([["A", "B", "C"], ["C", "A"], [], ["A", "A"], ["$"]]))
+    elif key == "nodes":
+        doc[key] = draw(st.sampled_from([5, None, 2.5, "ab"]))
 
 
 def _mutate_entry(draw, doc):
@@ -194,7 +198,7 @@ def pst_documents(draw):
             mutate(draw, doc)
     if isinstance(doc.get("nodes"), list) and draw(st.booleans()):
         doc["nodes"] = draw(st.permutations(doc["nodes"]))
-    for entry in doc.get("nodes") or ():
+    for entry in doc["nodes"] if isinstance(doc.get("nodes"), list) else ():
         # children listed in another order than the sorted keys of a dump
         if isinstance(entry, dict) and isinstance(entry.get("children"), dict) and draw(st.booleans()):
             entry["children"] = dict(reversed(list(entry["children"].items())))
@@ -364,6 +368,9 @@ class TestCommandExitCodes:
         ({"l_max": 2.7}, "l_max must be an integer >= 1"),
         ({"l_max": True}, "l_max must be an integer >= 1"),
         ({"hist": {"$": 1e6}}, "node 0: histogram has a '$' count"),
+        ({"params": "ab"}, "malformed PST document"),
+        ({"params": [1, 2]}, "malformed PST document"),
+        ({"nodes": 5}, "malformed PST document"),
     ])
     def test_bad_document_is_input_error(self, tmp_path, command, change, message):
         doc = one_node_document(**change.get("hist", {}))
