@@ -24,10 +24,12 @@ __all__ = [
     "compose_budgets",
     "float_texts",
     "grow_levels",
+    "json_value",
     "laplace_cdf",
     "laplace_pdf",
     "laplace_sf",
     "privtree_params",
+    "read_json",
     "rho",
     "rho_upper",
     "sample_laplace",
@@ -277,6 +279,24 @@ def float_texts(values) -> np.ndarray:
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
     return np.array(texts, dtype=object)[inverse].reshape(values.shape)
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``; InputDataError if invalid."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputDataError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def json_value(value, kind, name: str):
+    """``value`` if it has the JSON type ``kind``, else TypeError naming it
+    ``name``.  An ``int`` is never a bool; a ``float`` may be an int, but one
+    too large for any float raises OverflowError, as storing it would."""
+    if type(value) is kind or kind is float and type(value) is int and math.isfinite(value):
+        return value
+    raise TypeError(f"{name} {value!r} has the wrong JSON type")
 
 
 def check_tree_links(size: int, root: int, parents, children, extends) -> None:

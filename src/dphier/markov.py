@@ -31,8 +31,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, biased_split, check_tree_links
-from .dp_core import float_texts, grow_levels, privtree_params, sample_laplace
+from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, biased_split, check_tree_links, float_texts
+from .dp_core import grow_levels, json_value, privtree_params, read_json, sample_laplace
 from .errors import GenerationError, InputDataError, ParameterError
 
 __all__ = [
@@ -134,18 +134,19 @@ class SequenceDataset:
     def __post_init__(self):
         if not (isinstance(self.l_max, (int, np.integer)) and self.l_max >= 1):
             raise ParameterError(f"l_max must be an integer >= 1, got {self.l_max!r}")
-        seqs = tuple(tuple(map(int, s)) for s in self.sequences)
+        seqs = tuple(map(tuple, self.sequences))
         opens = tuple(bool(o) for o in self.open_ended)
         if len(seqs) != len(opens):
             raise InputDataError("sequences and open_ended must align")
-        valid = set(self.alphabet.symbol_ids)
+        valid = set(self.alphabet.symbol_ids)  # ids are Python ints, never bools
         lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
         closed = ~np.array(opens, dtype=bool)  # the end marker counts
         too_long = lens + closed > self.l_max
-        if too_long.any() or not valid.issuperset(itertools.chain.from_iterable(seqs)):
+        ids = list(itertools.chain.from_iterable(seqs))
+        if too_long.any() or {*map(type, ids)} - {int} or not valid.issuperset(ids):
             # the first offending sequence names the error
             for s, long in zip(seqs, too_long):
-                if not valid.issuperset(s):
+                if {*map(type, s)} - {int} or not valid.issuperset(s):
                     raise InputDataError("sequence contains ids outside the alphabet")
                 if long:
                     raise InputDataError("sequence exceeds the length cap")
@@ -326,39 +327,43 @@ class Pst:
 
 def pst_from_json_dict(doc: dict) -> Pst:
     """A PST from its document, read entry by entry into columns, so the
-    first defect in document order names the error."""
+    first defect in document order, such as a value of the wrong JSON type,
+    names the error."""
     try:
-        alphabet = Alphabet(tuple(doc["alphabet"]))
+        tokens = json_value(doc["alphabet"], list, "alphabet")
+        alphabet = Alphabet(tuple(json_value(t, str, "token") for t in tokens))
         l_max = doc["l_max"]
         if type(l_max) is not int or l_max < 1:
             raise ParameterError(f"l_max must be an integer >= 1, got {l_max!r}")
-        params_info = dict(doc["params"])
-        raw_nodes = doc["nodes"]
+        params_info = json_value(doc["params"], dict, "params")
+        raw_nodes = json_value(doc["nodes"], list, "nodes")
         size = len(raw_nodes)
-    except (KeyError, TypeError, ValueError, ParameterError) as exc:
+    except (KeyError, TypeError, ParameterError) as exc:
         raise InputDataError(f"malformed PST document: {exc}") from exc
     preds, rows, links = [None] * size, [None] * size, [None] * size
     for k, entry in enumerate(raw_nodes):
         try:
-            nid = int(entry["id"])
+            nid = json_value(entry["id"], int, "id")
             if not 0 <= nid < size or preds[nid] is not None:
                 raise InputDataError(f"bad or duplicate node id {nid}")
             if "hist" in entry:
                 row = rows[nid] = [0.0] * (alphabet.size + 2)
                 for tok, cnt in entry["hist"].items():
-                    row[alphabet.id_of(tok)] = float(cnt)
+                    row[alphabet.id_of(tok)] = json_value(cnt, float, "count")
                     if tok == START_TOKEN:
                         raise InputDataError(f"node {nid}: histogram has a {START_TOKEN!r} count")
                 if not all(0.0 <= c < math.inf for c in row):
                     raise InputDataError(f"node {nid}: histogram counts must be finite and >= 0")
-            kids = [(nid, alphabet.id_of(tok), int(cid)) for tok, cid in entry["children"].items()]
+            kids = [(nid, alphabet.id_of(tok), json_value(cid, int, "child id"))
+                    for tok, cid in entry["children"].items()]
             if any(not 0 <= cid < size for _, _, cid in kids):
                 raise InputDataError(f"node {nid} references an unknown child id")
             links[nid] = kids  # (parent, symbol, child)
-            preds[nid] = tuple(alphabet.id_of(t) for t in entry["predictor"])
+            predictor = json_value(entry["predictor"], list, "predictor")
+            preds[nid] = tuple(map(alphabet.id_of, predictor))
         except InputDataError:
             raise
-        except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+        except (KeyError, TypeError, OverflowError, AttributeError) as exc:
             raise InputDataError(
                 f"node entry {k}: a field is missing or malformed ({type(exc).__name__}: {exc})"
             ) from exc
@@ -377,16 +382,11 @@ def pst_from_json_dict(doc: dict) -> Pst:
     child[parents, syms] = kids
     hist = None if bare else np.array(rows, dtype=np.float64)
     return Pst(alphabet, l_max, preds=preds, child=child, hist=hist,
-               params_info=params_info, root=root)
+               params_info=dict(params_info), root=root)
 
 
 def load_pst(path) -> Pst:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputDataError(f"{path}: invalid JSON ({exc})") from exc
-    return pst_from_json_dict(doc)
+    return pst_from_json_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, biased_count, biased_split
-from .dp_core import check_tree_links, float_texts, grow_levels, laplace_sf, sample_laplace
+from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, biased_count, biased_split, check_tree_links
+from .dp_core import float_texts, grow_levels, json_value, laplace_sf, read_json, sample_laplace
 from .errors import InputDataError, ParameterError
 
 __all__ = [
@@ -820,137 +820,111 @@ def range_count(tree: DecompTree, q: RangeQuery) -> float:
 _NODE_FIELDS = ("id", "depth", "lo", "hi", "children", "noisy_count")
 
 
-def _node_field(entry, key):
-    """One field of a node entry, converted as the tree format defines it."""
-    if key in ("lo", "hi"):
-        return tuple(float(v) for v in entry[key])
-    if key == "children":
-        return [int(c) for c in entry[key]]
-    if key == "noisy_count":
-        return float(entry[key]) if key in entry else None
-    return int(entry[key])
-
-
-def _fast_columns(raw: list):
-    """(columns, root) of a document whose entries are listed in id order and
-    pass every check of :func:`_entry_columns`, read a field at a time with
-    ``np.fromiter`` (which converts with ``int()`` and ``float()``, and reads
-    ``None`` as NaN); None for any other document."""
+def _document_columns(raw: list):
+    """(columns, root) of a tree document's node entries, read a field at a
+    time once their JSON types are checked, and put in id order; the root is
+    the last depth-0 entry in document order.  A document with any defect
+    goes to :func:`_raise_first_defect`, which names it."""
     n = len(raw)
     try:
-        ids = np.fromiter([e["id"] for e in raw], np.int64, n)
-        depth = np.fromiter([e["depth"] for e in raw], np.int64, n)
-        regions = [[e[key] for e in raw] for key in ("lo", "hi")]
-        sizes = np.concatenate([np.fromiter(map(len, rows), np.int64, n) for rows in regions])
-        lo, hi = (np.fromiter(chain.from_iterable(rows), np.float64) for rows in regions)
-        lists = [e["children"] for e in raw]
+        ids, depth, lo, hi, lists = ([e[key] for e in raw] for key in _NODE_FIELDS[:5])
+        values = [e["noisy_count"] for e in raw if "noisy_count" in e]
+        if not (
+            {*map(type, chain(lo, hi, lists))} <= {list}
+            and {*map(type, chain(ids, depth, *lists))} <= {int}
+            and {*map(type, chain(values, *lo, *hi))} <= {int, float}
+        ):
+            raise TypeError("a value of the wrong JSON type")
+        sizes = np.fromiter(map(len, lo + hi), np.int64, 2 * n)
         n_kids = np.fromiter(map(len, lists), np.int64, n)
-        kids = np.fromiter(chain.from_iterable(lists), np.int64)
-        has_count = np.fromiter(("noisy_count" in e for e in raw), bool, n)
-        values = np.fromiter([e["noisy_count"] for e in raw if "noisy_count" in e], np.float64)
+        ids, depth, kids = (np.fromiter(v, np.int64) for v in (ids, depth, chain(*lists)))
+        lo, hi, values = (np.fromiter(v, np.float64) for v in (chain(*lo), chain(*hi), values))
+        dims = int(sizes[0]) if n else 0
+        if not (dims and (sizes == dims).all() and all((v >= 0).all() and (v < n).all()
+                                                       for v in (ids, depth, kids))):
+            raise ValueError("a value out of range")
+        order = np.full(n, -1)
+        order[ids] = np.arange(n)  # the document position of each id
+        lo, hi = lo.reshape(n, dims), hi.reshape(n, dims)
+        zero = np.flatnonzero(depth == 0)
+        if not ((order >= 0).all() and zero.size and np.isfinite(values).all()
+                and np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
+            raise ValueError("a failing check")
     except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-    zero = np.flatnonzero(depth == 0)
-    dims = int(sizes[0]) if n else 0
-    if not (zero.size and dims and (sizes == dims).all() and (ids == np.arange(n)).all()):
-        return None
-    lo, hi = lo.reshape(n, dims), hi.reshape(n, dims)
-    if not (
-        np.isfinite(lo).all() and np.isfinite(hi).all() and np.isfinite(values).all()
-        and (lo < hi).all() and ((kids >= 0) & (kids < n)).all()
-    ):
-        return None
+        _raise_first_defect(raw)
+    has_count = np.fromiter(("noisy_count" in e for e in raw), bool, n)
     count = np.zeros(n)
     count[has_count] = values
-    cols = _Columns(depth, lo, hi, _csr_first(n_kids), kids, count, has_count)
-    return cols, int(zero[-1])
+    kids = kids[np.argsort(np.repeat(ids, n_kids), kind="stable")]  # by parent id
+    return _Columns(depth[order], lo[order], hi[order], _csr_first(n_kids[order]), kids,
+                    count[order], has_count[order]), int(ids[zero[-1]])
 
 
-def _entry_columns(raw: list):
-    """(columns, root) of a document read one entry at a time, in document
-    order: the reader that defines the format and its errors.
-
-    Raises InputDataError for the first defective entry, and within it for
-    the first field that does not convert, then for the first failing check
-    below; then for a document without a depth-0 entry.  The root is the
-    last depth-0 entry.  Depths stay Python integers, as large as the
-    document's, until the links are checked."""
+def _raise_first_defect(raw: list):
+    """Raise InputDataError for the first defect of a tree document's node
+    entries, in document order: in the first defective entry, for the first
+    field of ``_NODE_FIELDS`` that is missing (``noisy_count`` may be) or of
+    the wrong JSON type, then for the first failing check below; with every
+    entry sound, for the want of a depth-0 entry."""
     n = len(raw)
-    rows = [None] * n
-    root = dims = None
+    seen, dims = [False] * n, None
     for k, entry in enumerate(raw):
-        values = []
         for key in _NODE_FIELDS:
             try:
-                values.append(_node_field(entry, key))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                if key != "noisy_count" or key in entry:
+                    many = key in ("lo", "hi", "children")
+                    kind = int if key in ("id", "depth", "children") else float
+                    for v in json_value(entry[key], list, key) if many else [entry[key]]:
+                        json_value(v, kind, key)
+            except (KeyError, TypeError, OverflowError) as exc:
                 raise InputDataError(
                     f"node entry {k}: field {key!r} is missing or malformed "
                     f"({type(exc).__name__}: {exc})"
                 ) from exc
-        nid, depth, lo, hi, kids, count = values
-        if not 0 <= nid < n or rows[nid] is not None:
+        nid, depth, kids = entry["id"], entry["depth"], entry["children"]
+        lo, hi = (np.array(entry[key], dtype=np.float64) for key in ("lo", "hi"))
+        count = np.float64(entry.get("noisy_count", 0.0))
+        if not 0 <= nid < n or seen[nid]:
             raise InputDataError(f"bad or duplicate node id {nid}")
-        dims = len(lo) if dims is None else dims
-        if not dims or len(lo) != dims or len(hi) != dims:
+        if not 0 <= depth < n:
+            raise InputDataError(f"node {nid}: depth {depth} is outside [0, {n})")
+        dims = lo.size if dims is None else dims
+        if not dims or lo.size != dims or hi.size != dims:
             raise InputDataError(
                 f"node {nid}: lo and hi must have as many entries as in every node"
             )
-        if not all(map(math.isfinite, lo + hi + (() if count is None else (count,)))):
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.isfinite(count)):
             raise InputDataError(f"node {nid}: lo, hi and noisy_count must be finite")
-        if not all(a < b for a, b in zip(lo, hi)):
+        if not (lo < hi).all():
             raise InputDataError(f"node {nid}: lo must be below hi in every dimension")
         if any(not 0 <= c < n for c in kids):
             raise InputDataError(f"node {nid} references an unknown child id")
-        rows[nid] = values
-        if depth == 0:
-            root = nid
-    if root is None:
-        raise InputDataError("tree document has no depth-0 root node")
-    _, depth, lo, hi, kids, count = zip(*rows)
-    cols = _Columns(
-        depth=np.array(depth, dtype=object), lo=np.array(lo), hi=np.array(hi),
-        first=_csr_first(np.fromiter(map(len, kids), np.int64, n)),
-        kids=np.fromiter(chain.from_iterable(kids), np.int64),
-        count=np.array([0.0 if c is None else c for c in count]),
-        has_count=np.array([c is not None for c in count]),
-    )
-    return cols, root
+        seen[nid] = True
+    raise InputDataError("tree document has no depth-0 root node")
 
 
 def tree_from_json_dict(doc: dict) -> DecompTree:
-    """A tree from its document, stored as columns (see :class:`DecompTree`).
-
-    A document listed in id order that passes every check is read a field
-    at a time; any other goes to the entry-by-entry reader, which raises the
-    error for the first defect or reads the odd values the format allows."""
+    """A tree from its document, stored as columns (see :class:`DecompTree`)."""
     try:
-        fanout = int(doc["fanout"])
-        params_info = dict(doc["params"])
-        raw_nodes = doc["nodes"]
-    except (KeyError, TypeError, ValueError) as exc:
+        fanout, params_info, raw_nodes = (
+            json_value(doc[key], kind, key)
+            for key, kind in (("fanout", int), ("params", dict), ("nodes", list))
+        )
+    except (KeyError, TypeError) as exc:
         raise InputDataError(f"malformed tree document: {exc}") from exc
-    if not isinstance(raw_nodes, list):
-        raise InputDataError("malformed tree document: nodes must be a list")
-    cols, root = _fast_columns(raw_nodes) or _entry_columns(raw_nodes)
+    cols, root = _document_columns(raw_nodes)
     parents = np.repeat(np.arange(len(raw_nodes)), np.diff(cols.first))
     check_tree_links(
         len(raw_nodes), root, parents, cols.kids,
         cols.depth[cols.kids] == cols.depth[parents] + 1,
     )
-    cols = cols._replace(depth=cols.depth.astype(np.int64, copy=False))
-    tree = _column_tree(cols, fanout, params_info, root)
+    tree = _column_tree(cols, fanout, dict(params_info), root)
     tree._grid = _detect_grid(cols, root, fanout)
     return tree
 
 
 def load_tree(path) -> DecompTree:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputDataError(f"{path}: invalid JSON ({exc})") from exc
-    return tree_from_json_dict(doc)
+    return tree_from_json_dict(read_json(path))
 
 
 def _grid_cells(lo, hi, m: int):

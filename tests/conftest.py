@@ -63,3 +63,12 @@ def assert_same_release(got, want):
         pairs = zip(got.to_json_dict()["nodes"], want.to_json_dict()["nodes"])
         first = next((a for a, b in pairs if a != b), "none (lengths or params differ)")
         pytest.fail(f"released documents differ; first differing node: {first}")
+
+
+def of_type(value, kind, name):
+    """``value`` if it has the JSON type ``kind`` (an int is never a bool,
+    and a float may be written as an int), else TypeError naming it
+    ``name``.  The reference loaders check document values with it."""
+    if type(value) is kind or kind is float and type(value) is int:
+        return value
+    raise TypeError(f"{name} {value!r} has the wrong JSON type")

@@ -1,8 +1,11 @@
-"""The public surface: every ``__all__`` is sorted, resolves and is complete."""
+"""The public surface: every ``__all__`` is sorted, resolves and is complete,
+and README's library quickstart runs as written."""
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +32,12 @@ def test_all_is_sorted_resolvable_and_complete(module):
         and obj.__module__ == module.__name__
     }
     assert sorted(public - set(names)) == []
+
+
+def test_readme_quickstart_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S)
+    assert block, "README has no Library quickstart block"
+    names = {}
+    exec(compile(block[1], "README.md quickstart", "exec"), names)
+    assert len(names["answers"]) == 1000 and len(names["synth"]) == 100

@@ -30,7 +30,7 @@ from dphier.markov import (
     truncate_sequences,
 )
 
-from conftest import assert_same_release
+from conftest import assert_same_release, of_type
 
 
 # ---------------------------------------------------------------------------
@@ -46,41 +46,47 @@ def reference_pst_dumps(doc):
     ``l_max`` must be an integer >= 1, no histogram may count the start
     marker, either every node carries a histogram or none does, and a
     ``params`` that is no mapping (``"ab"``) or a ``nodes`` without a length
-    (``5``) is a malformed document.
+    (``5``) is a malformed document.  Every value must have the JSON type
+    of the format: ``alphabet`` a list of strings, ``params`` an object,
+    ``nodes`` a list, ids and child ids integers, counts numbers and a
+    predictor a list.
     """
     try:
-        alphabet = Alphabet(tuple(doc["alphabet"]))
+        tokens = of_type(doc["alphabet"], list, "alphabet")  # added: of_type
+        alphabet = Alphabet(tuple(of_type(t, str, "token") for t in tokens))  # added: of_type
         l_max = doc["l_max"]
         if type(l_max) is not int or l_max < 1:  # added
             raise ParameterError(f"l_max must be an integer >= 1, got {l_max!r}")
-        params_info = dict(doc["params"])
-        raw_nodes = doc["nodes"]
+        params_info = dict(of_type(doc["params"], dict, "params"))  # added: of_type
+        raw_nodes = of_type(doc["nodes"], list, "nodes")  # added: of_type
         size = len(raw_nodes)  # added: inside the guard
     except (KeyError, TypeError, ValueError, ParameterError) as exc:  # added: ValueError
         raise InputDataError(f"malformed PST document: {exc}") from exc
     nodes = [None] * size
     for k, entry in enumerate(raw_nodes):
         try:
-            nid = int(entry["id"])
+            nid = int(of_type(entry["id"], int, "id"))  # added: of_type
             if not 0 <= nid < size or nodes[nid] is not None:
                 raise InputDataError(f"bad or duplicate node id {nid}")
             hist = None
             if "hist" in entry:
                 hist = np.zeros(alphabet.size + 2, dtype=np.float64)
                 for tok, cnt in entry["hist"].items():
-                    hist[alphabet.id_of(tok)] = float(cnt)
+                    hist[alphabet.id_of(tok)] = float(of_type(cnt, float, "count"))  # added: of_type
                     if tok == START_TOKEN:  # added
                         raise InputDataError(f"node {nid}: histogram has a {START_TOKEN!r} count")
                 if not (np.isfinite(hist).all() and (hist >= 0.0).all()):
                     raise InputDataError(f"node {nid}: histogram counts must be finite and >= 0")
             children = {
-                alphabet.id_of(tok): int(cid) for tok, cid in entry["children"].items()
+                alphabet.id_of(tok): int(of_type(cid, int, "child id"))  # added: of_type
+                for tok, cid in entry["children"].items()
             }
             if any(not 0 <= cid < size for cid in children.values()):
                 raise InputDataError(f"node {nid} references an unknown child id")
+            predictor = of_type(entry["predictor"], list, "predictor")  # added: of_type
             nodes[nid] = PstNode(
                 id=nid,
-                predictor=tuple(alphabet.id_of(t) for t in entry["predictor"]),
+                predictor=tuple(alphabet.id_of(t) for t in predictor),
                 children=children,
                 hist=hist,
             )

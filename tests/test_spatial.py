@@ -31,7 +31,7 @@ from dphier.spatial import (
     trees_equal,
 )
 
-from conftest import assert_same_release, random_dataset
+from conftest import assert_same_release, of_type, random_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -1252,15 +1252,15 @@ def reference_detect_grid(tree):
 
 def reference_tree_from_json_dict(doc):
     """The loader that built one TreeNode per entry, in document order; a
-    node entry whose field does not convert raises InputDataError."""
+    node entry whose field does not convert raises InputDataError.  The
+    checks marked "added" make every value have the JSON type of the
+    format, and a depth lie in [0, n)."""
     try:
-        fanout = int(doc["fanout"])
-        params_info = dict(doc["params"])
-        raw_nodes = doc["nodes"]
+        fanout = int(of_type(doc["fanout"], int, "fanout"))  # added: of_type
+        params_info = dict(of_type(doc["params"], dict, "params"))  # added: of_type
+        raw_nodes = of_type(doc["nodes"], list, "nodes")  # added: of_type, which also checks "a list"
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"malformed tree document: {exc}") from exc
-    if not isinstance(raw_nodes, list):
-        raise InputDataError("malformed tree document: nodes must be a list")
     nodes = [None] * len(raw_nodes)
     root = dims = None
     for k, entry in enumerate(raw_nodes):
@@ -1274,19 +1274,30 @@ def reference_tree_from_json_dict(doc):
                     f"({type(exc).__name__}: {exc})"
                 ) from exc
 
+        def items(e, key, kind):  # added: each item checked, then converted
+            return [kind(of_type(v, kind, key)) for v in of_type(e[key], list, key)]
+
+        # added: of_type and items
         node = TreeNode(
-            id=field("id", lambda e: int(e["id"])),
-            depth=field("depth", lambda e: int(e["depth"])),
-            lo=field("lo", lambda e: tuple(float(v) for v in e["lo"])),
-            hi=field("hi", lambda e: tuple(float(v) for v in e["hi"])),
-            children=field("children", lambda e: [int(c) for c in e["children"]]),
+            id=field("id", lambda e: int(of_type(e["id"], int, "id"))),
+            depth=field("depth", lambda e: int(of_type(e["depth"], int, "depth"))),
+            lo=field("lo", lambda e: tuple(items(e, "lo", float))),
+            hi=field("hi", lambda e: tuple(items(e, "hi", float))),
+            children=field("children", lambda e: items(e, "children", int)),
             noisy_count=field(
                 "noisy_count",
-                lambda e: float(e["noisy_count"]) if "noisy_count" in e else None,
+                lambda e: (
+                    float(of_type(e["noisy_count"], float, "noisy_count"))
+                    if "noisy_count" in e else None
+                ),
             ),
         )
         if not 0 <= node.id < len(raw_nodes) or nodes[node.id] is not None:
             raise InputDataError(f"bad or duplicate node id {node.id}")
+        if not 0 <= node.depth < len(raw_nodes):  # added
+            raise InputDataError(
+                f"node {node.id}: depth {node.depth} is outside [0, {len(raw_nodes)})"
+            )
         dims = len(node.lo) if dims is None else dims
         if not dims or len(node.lo) != dims or len(node.hi) != dims:
             raise InputDataError(
@@ -1418,7 +1429,7 @@ def mutated_tree_docs(draw):
         elif m == 10:  # count added or removed
             if entry.pop("noisy_count", None) is None:
                 entry["noisy_count"] = 3.0
-        elif m == 11:  # numbers written another way, which the format accepts
+        elif m == 11:  # numbers written another way, which the format rejects
             if key in ("id", "depth") and isinstance(value, int):
                 entry[key] = float(value) if draw(st.booleans()) else str(value)
             elif key in ("lo", "hi") and isinstance(value, list):
@@ -1523,16 +1534,11 @@ class TestColumnLoader:
 
     def test_well_formed_document_skips_the_entry_reader(self, monkeypatch):
         docs = [load_fixture(kind)[1].to_json_dict() for kind in _LOAD_KINDS]
-        for doc in docs:  # both readers give the same columns and root
-            (fast, fast_root), (entry, entry_root) = (
-                spatial._fast_columns(doc["nodes"]), spatial._entry_columns(doc["nodes"])
-            )
-            assert fast_root == entry_root and all(map(np.array_equal, fast, entry))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("entry reader used")
+            raise AssertionError("the defect pass ran on a well-formed document")
 
-        monkeypatch.setattr(spatial, "_entry_columns", refuse)
+        monkeypatch.setattr(spatial, "_raise_first_defect", refuse)
         for doc in docs:
             spatial.tree_from_json_dict(doc)
 
