@@ -247,6 +247,8 @@ def cmd_range_query(**kw):
 @click.option("--budget-split", type=float, default=None,
               help="fraction of epsilon for the structure; default 1/(|alphabet|+1)")
 @click.option("--depth-cap", type=int, default=spatial.DEFAULT_DEPTH_CAP, show_default=True)
+@click.option("--alphabet", default=None,
+              help="public alphabet, whitespace-separated; inferred (not private) if omitted")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--noiseless", is_flag=True, help="test-only; output is NOT private")
 @click.option("--config", "config_path", type=click.Path(), default=None)
@@ -259,16 +261,22 @@ def cmd_seq_build(**kw):
         raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
     if kw["lmax"] is None:
         raise ParameterError("--lmax is required (sequence length cap)")
+    alphabet = kw["alphabet"]
+    if alphabet is not None:
+        if not isinstance(alphabet, str):
+            raise ParameterError(f"alphabet must be whitespace-separated tokens, got {alphabet!r}")
+        alphabet = markov.Alphabet(tuple(alphabet.split()))
     _warn_noiseless(kw["noiseless"])
     raw = markov.load_sequences(kw["input_path"])
     if not raw:
         raise InputDataError(f"{kw['input_path']}: no sequences found")
-    data = markov.truncate_sequences(raw, kw["lmax"])
-    click.echo(
-        "NOTE: alphabet inferred from the data; an inferred alphabet lists every "
-        "token of the records and is not private. Prefer a fixed public alphabet.",
-        err=True,
-    )
+    data = markov.truncate_sequences(raw, kw["lmax"], alphabet)
+    if alphabet is None:
+        click.echo(
+            "NOTE: alphabet inferred from the data; an inferred alphabet lists every token "
+            "of the records and is not private. Prefer a fixed public alphabet (--alphabet).",
+            err=True,
+        )
     rng = np.random.default_rng(np.random.SeedSequence(kw["seed"]))
     t0 = time.perf_counter()
     pst = markov.build_private_pst(

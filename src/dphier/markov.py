@@ -16,6 +16,11 @@ sensitivity factor of ``l_max``.
 Reserved tokens: ``$`` starts every sequence, ``&`` ends every non-truncated
 one; neither may appear in the alphabet.  Internally symbols map to dense ids
 with START=0 and END=1.
+
+A :class:`SequenceDataset` stores its records as arrays: one flat int32 array
+of every record's ids back to back, each record's length and each record's
+open-ended flag.  Truncation writes these arrays and the build reads them;
+the per-record tuples ``sequences`` and ``open_ended`` are made on request.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import itertools
 import json
 import math
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from json.encoder import encode_basestring_ascii
@@ -118,44 +124,93 @@ class Alphabet:
         return tuple(range(2, len(self.symbols) + 2))
 
 
-@dataclass(frozen=True)
+def _check_l_max(l_max) -> None:
+    if not (isinstance(l_max, (int, np.integer)) and l_max >= 1):
+        raise ParameterError(f"l_max must be an integer >= 1, got {l_max!r}")
+
+
 class SequenceDataset:
     """Length-capped sequences; entries marked open-ended carry no end marker.
 
     A stored sequence's length, counting the end marker when present (and
-    never the start marker), is at most ``l_max``.
+    never the start marker), is at most ``l_max``.  The records are stored as
+    arrays: ``ids`` holds every record's symbol ids back to back (int32),
+    ``lengths`` each record's length and ``opens`` its open-ended flag.
+    ``sequences`` and ``open_ended`` are tuples made from them on request.
     """
 
-    alphabet: Alphabet
-    sequences: tuple
-    open_ended: tuple
-    l_max: int
-
-    def __post_init__(self):
-        if not (isinstance(self.l_max, (int, np.integer)) and self.l_max >= 1):
-            raise ParameterError(f"l_max must be an integer >= 1, got {self.l_max!r}")
-        seqs = tuple(map(tuple, self.sequences))
-        opens = tuple(bool(o) for o in self.open_ended)
-        if len(seqs) != len(opens):
+    def __init__(self, alphabet: Alphabet, sequences, open_ended, l_max: int):
+        _check_l_max(l_max)
+        records = [tuple(s) for s in sequences]
+        opens = np.fromiter(map(bool, open_ended), dtype=bool)
+        if len(records) != opens.size:
             raise InputDataError("sequences and open_ended must align")
-        valid = set(self.alphabet.symbol_ids)  # ids are Python ints, never bools
-        lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-        closed = ~np.array(opens, dtype=bool)  # the end marker counts
-        too_long = lens + closed > self.l_max
-        ids = list(itertools.chain.from_iterable(seqs))
+        valid = set(alphabet.symbol_ids)  # ids are Python ints, never bools
+        lengths = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+        too_long = lengths + ~opens > l_max  # the end marker counts
+        ids = list(itertools.chain.from_iterable(records))
         if too_long.any() or {*map(type, ids)} - {int} or not valid.issuperset(ids):
             # the first offending sequence names the error
-            for s, long in zip(seqs, too_long):
+            for s, long in zip(records, too_long):
                 if {*map(type, s)} - {int} or not valid.issuperset(s):
                     raise InputDataError("sequence contains ids outside the alphabet")
                 if long:
                     raise InputDataError("sequence exceeds the length cap")
-        object.__setattr__(self, "sequences", seqs)
-        object.__setattr__(self, "open_ended", opens)
+        self._store(alphabet, np.array(ids, dtype=np.int32), lengths, opens, int(l_max))
+
+    def _store(self, alphabet, ids, lengths, opens, l_max) -> SequenceDataset:
+        for column in (ids, lengths, opens):
+            column.flags.writeable = False
+        self.alphabet, self.ids, self.lengths, self.opens = alphabet, ids, lengths, opens
+        self.l_max = l_max
+        return self
 
     @property
     def n(self) -> int:
-        return len(self.sequences)
+        return self.lengths.size
+
+    @property
+    def sequences(self) -> tuple:
+        ids, ends = self.ids.tolist(), np.cumsum(self.lengths).tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip([0, *ends], ends))
+
+    @property
+    def open_ended(self) -> tuple:
+        return tuple(self.opens.tolist())
+
+
+def _encode(tokens, count: int, alphabet: Alphabet | None):
+    """``(ids, alphabet)``: the int32 ids of ``count`` tokens, one dict lookup
+    each, and the given alphabet or the one inferred in first-appearance
+    order.  None when a token is not a ``str``; the caller then encodes the
+    tokens' ``str`` forms, which name the same symbols."""
+    if alphabet is None:
+        index = defaultdict()
+        index.default_factory = index.__len__  # a new token takes the next index
+        try:
+            ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int32, count=count)
+        except TypeError:  # an unhashable token
+            return None
+        if any(type(t) is not str for t in index):
+            return None
+        if not index:
+            raise ParameterError("cannot infer an alphabet from empty input")
+        alphabet = Alphabet(tuple(index))
+        return ids + 2, alphabet  # symbol ids start at 2
+    code = {START_TOKEN: START_ID, END_TOKEN: END_ID, **alphabet._ids}.__getitem__
+    try:
+        return np.fromiter(map(code, tokens), dtype=np.int32, count=count), alphabet
+    except TypeError:
+        return None
+    except KeyError as exc:
+        if type(exc.args[0]) is not str:
+            return None
+        raise InputDataError(f"unknown symbol {exc.args[0]!r}") from None
+
+
+def _spread(firsts, counts):
+    """``firsts[r] + k`` for every row ``r`` and ``k < counts[r]``, row by row."""
+    return np.repeat(firsts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 def truncate_sequences(raw, l_max: int, alphabet: Alphabet | None = None) -> SequenceDataset:
@@ -164,34 +219,30 @@ def truncate_sequences(raw, l_max: int, alphabet: Alphabet | None = None) -> Seq
     Sequences of length ``< l_max`` (so length+END <= l_max) keep their end
     marker; longer ones are cut to their first ``l_max`` symbols and become
     open-ended.  ``raw`` holds token lists without sentinels; the alphabet is
-    inferred in first-appearance order unless given.
+    inferred in first-appearance order unless given.  The first token the
+    alphabet lacks names the error, also in the part of a record that is cut.
 
     An inferred alphabet is not private: it lists every token of the data,
     and a token that occurs in one record reveals that record.  Pass a public
     ``alphabet`` for a private release.
     """
-    if not (isinstance(l_max, (int, np.integer)) and l_max >= 1):
-        raise ParameterError(f"l_max must be an integer >= 1, got {l_max!r}")
-    raw = [tuple(map(str, s)) for s in raw]
-    if alphabet is None:
-        symbols = tuple(dict.fromkeys(itertools.chain.from_iterable(raw)))
-        if not symbols:
-            raise ParameterError("cannot infer an alphabet from empty input")
-        alphabet = Alphabet(symbols)
-    code = {START_TOKEN: START_ID, END_TOKEN: END_ID, **alphabet._ids}.__getitem__
-    try:
-        sequences = tuple(
-            ids if len(ids) < l_max else ids[:l_max]
-            for ids in (tuple(map(code, s)) for s in raw)
-        )
-    except KeyError as exc:
-        raise InputDataError(f"unknown symbol {exc.args[0]!r}") from None
-    return SequenceDataset(
-        alphabet=alphabet,
-        sequences=sequences,
-        open_ended=tuple(len(s) >= l_max for s in raw),
-        l_max=int(l_max),
-    )
+    _check_l_max(l_max)
+    records = [s if isinstance(s, (list, tuple)) else tuple(s) for s in raw]
+    lengths = np.fromiter(map(len, records), dtype=np.intp, count=len(records))
+    count = int(lengths.sum())
+    encoded = _encode(itertools.chain.from_iterable(records), count, alphabet)
+    if encoded is None:
+        encoded = _encode(map(str, itertools.chain.from_iterable(records)), count, alphabet)
+    ids, alphabet = encoded
+    opens = lengths >= l_max
+    if opens.any():  # keep the first l_max ids of each long record
+        kept = np.minimum(lengths, l_max)
+        ids = ids[_spread(np.cumsum(lengths) - lengths, kept)]
+        lengths = kept
+    if (ids <= END_ID).any():  # a reserved token in a kept part
+        raise InputDataError("sequence contains ids outside the alphabet")
+    data = SequenceDataset.__new__(SequenceDataset)  # the arrays are checked above
+    return data._store(alphabet, ids, lengths, opens, int(l_max))
 
 
 def load_sequences(path):
@@ -200,14 +251,9 @@ def load_sequences(path):
     '#' comment lines and blank lines are ignored; an empty record is not
     representable in this format.
     """
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            out.append(line.split())
-    return out
+        # a line is a comment when its first token starts with '#'
+        return [tokens for tokens in map(str.split, fh) if tokens and tokens[0][0] != "#"]
 
 
 def pst_score(hist):
@@ -409,16 +455,14 @@ def _positions(data: SequenceDataset):
     symbol is one step right of its index; the symbol extending a depth-D
     predictor is D steps left, never past the row's start marker, since a
     node whose predictor starts with it never splits."""
-    lens = np.fromiter(map(len, data.sequences), dtype=np.intp, count=data.n)
-    closed = ~np.asarray(data.open_ended, dtype=bool)
-    width = int((lens + closed).max(initial=0)) + 1
-    ids = np.full((data.n, width), START_ID, dtype=np.int32)
-    ids[:, 1:][np.arange(width - 1) < lens[:, None]] = np.fromiter(
-        itertools.chain.from_iterable(data.sequences), np.int32
-    )
-    ids[closed, lens[closed] + 1] = END_ID
-    rows, offsets = np.nonzero(np.arange(width) < (lens + closed)[:, None])
-    return ids.reshape(-1), rows * width + offsets
+    lens, closed = data.lengths, ~data.opens
+    used = lens + closed
+    width = int(used.max(initial=0)) + 1
+    rows = np.arange(data.n) * width
+    ids = np.full(data.n * width, START_ID, dtype=np.int32)
+    ids[_spread(rows + 1, lens)] = data.ids
+    ids[rows[closed] + lens[closed] + 1] = END_ID
+    return ids, _spread(rows, used)
 
 
 def build_private_pst(

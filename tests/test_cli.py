@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dphier import cli, svt_audit
+from dphier import cli, markov, svt_audit
 from dphier.cli import main
 
 
@@ -382,6 +382,62 @@ class TestSequenceCommands:
         assert res.exit_code == 0
         assert "alphabet inferred from the data" in res.output
         assert "not private" in res.output
+
+    def library_pst(self, sequences_txt, alphabet):
+        raw = markov.load_sequences(sequences_txt)
+        data = markov.truncate_sequences(raw, 10, alphabet)
+        rng = np.random.default_rng(np.random.SeedSequence(4))
+        return markov.build_private_pst(data, 1.0, rng)
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_public_alphabet_builds_the_library_release(
+        self, runner, tmp_path, sequences_txt, how
+    ):
+        if how == "flag":
+            extra = ["--alphabet", " B  A\tC "]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"alphabet": "B A C"}))
+            extra = ["--config", str(config)]
+        res, out = self.build_pst(runner, tmp_path, sequences_txt, *extra)
+        assert res.exit_code == 0, res.output
+        assert "NOTE" not in res.output
+        want = self.library_pst(sequences_txt, markov.Alphabet(("B", "A", "C")))
+        assert out.read_text() == want.dumps() + "\n"
+        assert json.loads(out.read_text())["alphabet"] == ["B", "A", "C"]
+
+    def test_without_alphabet_the_release_infers_it(self, runner, tmp_path, sequences_txt):
+        res, out = self.build_pst(runner, tmp_path, sequences_txt)
+        assert res.exit_code == 0, res.output
+        assert out.read_text() == self.library_pst(sequences_txt, None).dumps() + "\n"
+
+    def test_token_outside_the_alphabet_is_input_error(self, runner, tmp_path, sequences_txt):
+        res, out = self.build_pst(runner, tmp_path, sequences_txt, "--alphabet", "A")
+        assert res.exit_code == 2, res.output
+        assert "unknown symbol 'B'" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "alphabet, message",
+        [
+            ("A B A", "alphabet symbols must be distinct"),
+            ("A B $", "reserved tokens"),
+            ("A & B", "reserved tokens"),
+            ("   ", "at least one symbol"),
+        ],
+    )
+    def test_bad_alphabet_is_config_error(self, runner, tmp_path, sequences_txt, alphabet, message):
+        res, out = self.build_pst(runner, tmp_path, sequences_txt, "--alphabet", alphabet)
+        assert res.exit_code == 1, res.output
+        assert message in res.output
+        assert not out.exists()
+
+    def test_alphabet_config_must_be_a_string(self, runner, tmp_path, sequences_txt):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alphabet": ["A", "B"]}))
+        res, _ = self.build_pst(runner, tmp_path, sequences_txt, "--config", str(config))
+        assert res.exit_code == 1, res.output
+        assert "alphabet must be whitespace-separated tokens" in res.output
 
     def test_noiseless_topk_matches_hand_counts(self, runner, tmp_path, sequences_txt):
         res, pst = self.build_pst(runner, tmp_path, sequences_txt, "--noiseless")

@@ -7,10 +7,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dphier import markov
+from dphier.cli import main
 from dphier.dp_core import sample_laplace
 from dphier.errors import GenerationError, InputDataError, ParameterError
 from dphier.markov import (
@@ -1097,6 +1099,81 @@ class TestTruncationEquivalence:
         want = outcome(reference_dataset_check, alpha, seqs, opens, l_max)
         got = outcome(markov.SequenceDataset, alpha, tuple(map(tuple, seqs)), tuple(opens), l_max)
         assert (got if got[0] == "error" else ("ok", None)) == want
+
+
+# ---------------------------------------------------------------------------
+# records stay arrays from truncation to the release
+# ---------------------------------------------------------------------------
+
+
+def refuse_tuples(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a per-record tuple was built")
+
+    for name in ("sequences", "open_ended"):
+        monkeypatch.setattr(markov.SequenceDataset, name, property(refuse))
+
+
+class TestDatasetArrays:
+    def test_build_path_makes_no_record_tuples(self, monkeypatch, tmp_path):
+        raw = short_records(500, 12)
+        want = build_private_pst(truncate_sequences(raw, 8), 2.0, np.random.default_rng(3))
+        refuse_tuples(monkeypatch)
+        data = truncate_sequences(raw, 8)
+        with pytest.raises(AssertionError, match="per-record tuple"):
+            data.sequences
+        assert_same_release(build_private_pst(data, 2.0, np.random.default_rng(3)), want)
+        records = tmp_path / "seqs.txt"
+        records.write_text("".join(" ".join(r) + "\n" for r in raw))
+        out = tmp_path / "pst.json"
+        res = CliRunner().invoke(main, [
+            "seq-build", "--input", str(records), "--output", str(out), "--epsilon", "2.0",
+            "--lmax", "8", "--alphabet", "a b c d",
+        ])
+        assert res.exit_code == 0, res.output
+        assert json.loads(out.read_text())["alphabet"] == ["a", "b", "c", "d"]
+
+    @given(
+        raw=st.lists(st.lists(st.sampled_from("ABC"), max_size=9), max_size=12),
+        l_max=st.integers(1, 7),
+        seed=st.integers(0, 99),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_constructor_holds_the_arrays_truncation_makes(self, raw, l_max, seed):
+        alpha = Alphabet(("A", "B", "C"))
+        data = truncate_sequences(raw, l_max, alpha)
+        again = markov.SequenceDataset(alpha, data.sequences, data.open_ended, l_max)
+        for name in ("ids", "lengths", "opens"):
+            got, want = getattr(again, name), getattr(data, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert_same_release(
+            build_private_pst(again, 8.0, np.random.default_rng(seed)),
+            build_private_pst(data, 8.0, np.random.default_rng(seed)),
+        )
+
+    def test_records_file_skips_blank_and_comment_lines(self, tmp_path):
+        text = "# head\n\nA B\n  # indented\t\n\t\nB #not a comment\n#A\nA\u3000C\nC"
+        path = tmp_path / "seqs.txt"
+        path.write_text(text, encoding="utf-8")
+        want = []
+        for line in text.splitlines():
+            line = line.strip()
+            if line and not line.startswith("#"):
+                want.append(line.split())
+        assert markov.load_sequences(path) == want == [
+            ["A", "B"], ["B", "#not", "a", "comment"], ["A", "C"], ["C"]
+        ]
+
+    def test_numpy_l_max_is_stored_as_an_int(self):
+        data = markov.SequenceDataset(Alphabet(("A",)), [[2]], [False], np.int64(4))
+        assert type(data.l_max) is int
+        assert json.loads(build_private_pst(data, 1.0, noiseless=True).dumps())["l_max"] == 4
+
+    def test_arrays_are_read_only(self, worked_example_data):
+        for column in (worked_example_data.ids, worked_example_data.lengths,
+                       worked_example_data.opens):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,57 @@ class TestDefaultAudit:
             run_default_audit(**kwargs)
 
 
+class InlinePool:
+    """A stand-in for the audit's process pool that maps in this process."""
+
+    def __init__(self, jobs, mp_context=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return list(map(fn, *iterables))
+
+
+class TestDistinctEventsOnce:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("lam,k", [(1.0, 16), (2.0, 16), (4.0, 32)])
+    def test_ten_events_and_rows_as_computed_scenario_by_scenario(
+        self, monkeypatch, jobs, lam, k
+    ):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return threshold_event_log_prob(*args, **kwargs)
+
+        threshold_event_log_prob = sa.threshold_event_log_prob
+        monkeypatch.setattr(sa, "threshold_event_log_prob", counted)
+        monkeypatch.setattr(sa, "ProcessPoolExecutor", InlinePool)
+        rows = run_default_audit(lam=lam, theta=1.0, k=k, jobs=jobs)
+        # 2 binary events and 8 distinct improved ones out of 14
+        assert len(calls) == 10
+        improved = [r for r in rows if r["variant"] == "improved"]
+        scens = improved_audit_battery(theta=1.0, k=k)
+        assert [r["scenario"] for r in improved] == [scen.name for scen in scens]
+        for row, scen in zip(improved, scens):
+            ratio = improved_svt_log_ratio_bound(scen, lam)
+            bound = scen.hops * (2.0 / lam)
+            want = {
+                "variant": "improved", "scenario": scen.name, "k": len(scen.queries),
+                "lambda": lam, "theta": scen.theta, "t": scen.t, "log_ratio": ratio,
+                "claimed_bound": bound,
+                "verdict": "VIOLATES" if ratio > bound + 1e-9 else "SATISFIES",
+            }
+            assert repr(row) == repr(want)
+        binary = [r for r in rows if r["variant"] == "binary"]
+        assert [repr(r["log_ratio"]) for r in binary] == [repr(binary_svt_log_ratio(k, 1.0, lam))]
+
+
 # ---------------------------------------------------------------------------
 # the once-per-distinct-pair integrand against the per-query reference
 # ---------------------------------------------------------------------------
