@@ -234,37 +234,32 @@ def biased_split(score, depth: int, params: PrivacyParams, rng, eligible, noisel
 
 
 def grow_levels(n_items: int, fanout: int, decide, child_codes) -> None:
-    """Walk a tree level by level with its ``n_items`` items (points, sequence
-    positions) grouped node by node in BFS order, all starting at the root.
+    """Walk a tree level by level, in BFS order, with ``n_items`` items
+    (points, sequence positions) that all start at the root.
 
-    ``decide(depth, sizes, items)`` returns the level's split mask from the
-    item ids node by node and each node's item count.  ``child_codes(depth,
-    items, parent)`` gives each item of a splitting node a child code in
-    ``[0, fanout)``; ``parent`` ranks the item's node among the splitting
-    nodes, and the s-th one's children are ``s * fanout + code`` on the next
-    level.  The walk ends at the first level where no node splits.
+    Items never move: ``items`` holds the ids still in play, in id order, and
+    ``node`` each one's node index on the current level.
+    ``decide(depth, sizes, items, node)`` returns the level's split mask from
+    each node's item count (``sizes``); the items of a node that does not
+    split leave play.  ``child_codes(depth, items, parent)`` gives each item
+    left a child code in ``[0, fanout)``; ``parent`` ranks the item's node
+    among the splitting nodes, and the s-th one's children are
+    ``s * fanout + code`` on the next level.  The walk ends at the first
+    level where no node splits.
     """
     items = np.arange(n_items)
-    sizes = np.array([n_items])
-    depth = 0
+    node = np.zeros(n_items, dtype=np.intp)
+    n_nodes, depth = 1, 0
     while True:
-        split = np.asarray(decide(depth, sizes, items), dtype=bool)
+        sizes = np.bincount(node, minlength=n_nodes)
+        split = np.asarray(decide(depth, sizes, items, node), dtype=bool)
         if not split.any():
             return
-        n_split = np.count_nonzero(split)
-        items = items[np.repeat(split, sizes)]
-        # int32 keeps the per-item temporaries (and peak memory) small
-        parent = np.repeat(np.arange(n_split, dtype=np.int32), sizes[split])
-        key = child_codes(depth, items, parent) + parent * fanout
-        # a stable sort by key, as LSD radix passes over 16-bit digits (NumPy
-        # radix-sorts 16-bit keys), each pass stable on the order so far
-        order = np.argsort(key.astype(np.uint16), kind="stable")
-        shift = 16
-        while (n_split * fanout - 1) >> shift:
-            order = order[np.argsort((key[order] >> shift).astype(np.uint16), kind="stable")]
-            shift += 16
-        items = items[order]
-        sizes = np.bincount(key, minlength=n_split * fanout)
+        keep = split[node]
+        items, node = items[keep], node[keep]
+        parent = (np.cumsum(split) - 1)[node]
+        node = child_codes(depth, items, parent) + parent * fanout
+        n_nodes = np.count_nonzero(split) * fanout
         depth += 1
 
 

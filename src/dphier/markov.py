@@ -305,6 +305,7 @@ class Pst:
     def __init__(self, alphabet: Alphabet, l_max: int, *, nodes=None, preds=None,
                  child=None, hist=None, params: PrivacyParams | None = None,
                  params_info: dict | None = None, root: int = 0):
+        _check_l_max(l_max)
         if nodes is not None:
             preds = [v.predictor for v in nodes]
             child = np.full((len(nodes), alphabet.size + 2), -1, dtype=np.int64)
@@ -313,7 +314,7 @@ class Pst:
             if all(v.hist is not None for v in nodes):
                 hist = np.array([v.hist for v in nodes], dtype=np.float64)
         self.preds, self.child, self.hist = preds, child, hist
-        self.alphabet, self.l_max = alphabet, l_max
+        self.alphabet, self.l_max = alphabet, int(l_max)
         self.params, self.root = params, root
         self.params_info = {} if params_info is None else params_info
         self._reader: _ContextAutomaton | None = None
@@ -515,11 +516,10 @@ def build_private_pst(
     next_sym = symbols[positions + 1]
     preds, hist, levels = [()], [], []  # hist: exact, until noised below
 
-    def decide(depth, sizes, items):
+    def decide(depth, sizes, items, node):
         first = len(preds) - sizes.size
-        node_of = np.repeat(np.arange(sizes.size), sizes)
         hists = np.bincount(
-            node_of * width + next_sym[items], minlength=sizes.size * width
+            node * width + next_sym[items], minlength=sizes.size * width
         ).reshape(sizes.size, width).astype(np.float64)
         eligible = np.array([p[:1] != (START_ID,) for p in preds[first:]]) & (depth < depth_cap)
         split = biased_split(pst_score(hists), depth, params, rng, eligible, noiseless)

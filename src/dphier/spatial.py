@@ -165,8 +165,10 @@ class DecompTree:
     """
 
     def __init__(self, nodes, fanout: int, params_info: dict | None = None, root: int = 0):
+        if not (isinstance(fanout, (int, np.integer)) and fanout >= 1):
+            raise ParameterError(f"fanout must be an integer >= 1, got {fanout!r}")
         self._nodes = nodes
-        self.fanout = fanout
+        self.fanout = int(fanout)
         self.params_info = {} if params_info is None else params_info
         self.root = root
         self._cols: _Columns | None = None
@@ -391,7 +393,7 @@ def _grow(data: SpatialDataset, dims_per_level: int, rule) -> _Columns:
     fanout = 1 << dims_per_level
     los, his, splits = [np.array([data.domain.lo])], [np.array([data.domain.hi])], []
 
-    def decide(depth, sizes, items):
+    def decide(depth, sizes, *_):
         lo, hi = los[-1], his[-1]
         with np.errstate(over="ignore"):  # an infinite midpoint is not inside
             mid = (lo + hi) / 2.0
@@ -554,7 +556,7 @@ def _leaf_exact_counts(tree: DecompTree, data: SpatialDataset) -> dict:
     out = {}
     level = np.array([tree.root])
 
-    def decide(depth, sizes, items):
+    def decide(depth, sizes, *_):
         nonlocal level
         inner = cols.first[level + 1] > cols.first[level]
         out.update(zip(level[~inner].tolist(), sizes[~inner].tolist()))
@@ -910,7 +912,9 @@ def tree_from_json_dict(doc: dict) -> DecompTree:
             json_value(doc[key], kind, key)
             for key, kind in (("fanout", int), ("params", dict), ("nodes", list))
         )
-    except (KeyError, TypeError) as exc:
+        if fanout < 1:
+            raise ValueError(f"fanout {fanout} is below 1")
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"malformed tree document: {exc}") from exc
     cols, root = _document_columns(raw_nodes)
     parents = np.repeat(np.arange(len(raw_nodes)), np.diff(cols.first))

@@ -363,7 +363,7 @@ class TestGrowLevels:
     def record(self, n_items, fanout, decide_fn, code_fn):
         calls = []
 
-        def decide(depth, sizes, items):
+        def decide(depth, sizes, items, node):
             calls.append(("decide", depth, sizes.tolist(), items.tolist()))
             return decide_fn(depth, sizes)
 
@@ -374,22 +374,27 @@ class TestGrowLevels:
         grow_levels(n_items, fanout, decide, child_codes)
         return calls
 
-    def test_items_regroup_by_parent_rank_then_code(self):
+    def test_items_stay_in_id_order_and_carry_their_node(self):
         # level 0 splits items by parity; at level 1 only the odd node splits,
         # by whether the item is below 5
         splits = {0: [True], 1: [False, True], 2: [False, False]}
-        calls = self.record(
-            8,
-            2,
-            lambda depth, sizes: splits[depth],
-            lambda depth, items: items % 2 if depth == 0 else (items >= 5).astype(int),
-        )
+        calls = []
+
+        def decide(depth, sizes, items, node):
+            calls.append(("decide", depth, sizes.tolist(), items.tolist(), node.tolist()))
+            return splits[depth]
+
+        def child_codes(depth, items, parent):
+            calls.append(("codes", depth, items.tolist(), parent.tolist()))
+            return items % 2 if depth == 0 else (items >= 5).astype(int)
+
+        grow_levels(8, 2, decide, child_codes)
         assert calls == [
-            ("decide", 0, [8], [0, 1, 2, 3, 4, 5, 6, 7]),
-            ("codes", 0, [0, 1, 2, 3, 4, 5, 6, 7], [0] * 8),
-            ("decide", 1, [4, 4], [0, 2, 4, 6, 1, 3, 5, 7]),
+            ("decide", 0, [8], list(range(8)), [0] * 8),
+            ("codes", 0, list(range(8)), [0] * 8),
+            ("decide", 1, [4, 4], list(range(8)), [0, 1, 0, 1, 0, 1, 0, 1]),
             ("codes", 1, [1, 3, 5, 7], [0, 0, 0, 0]),
-            ("decide", 2, [2, 2], [1, 3, 5, 7]),
+            ("decide", 2, [2, 2], [1, 3, 5, 7], [0, 0, 1, 1]),
         ]
 
     def test_empty_dataset(self):
@@ -408,28 +413,55 @@ class TestGrowLevels:
         assert calls == [("decide", 0, [5], [0, 1, 2, 3, 4])]
 
     @pytest.mark.parametrize("fanout, n_levels", [(1 << 17, 1), (300, 2)])
-    def test_regroup_above_two_to_the_sixteen_keys_is_the_stable_int32_sort(
+    def test_node_above_two_to_the_sixteen_is_parent_times_fanout_plus_code(
         self, fanout, n_levels
     ):
-        # keys 1 and 65537 share their low 16 bits, so the high pass decides
-        # their order; ties test stability
-        rng = np.random.default_rng(6)
         n_items = 100_000
-        codes = rng.choice([0, 1, 2, 65_536 % fanout, 65_537 % fanout, fanout - 1], n_items)
+        codes = np.random.default_rng(6).integers(0, fanout, n_items)
         seen = []
 
-        def decide(depth, sizes, items):
-            seen.append(items.copy())
+        def decide(depth, sizes, items, node):
+            seen.append((sizes, items.copy(), node.copy()))
             return np.full(sizes.size, depth < n_levels)
 
         def child_codes(depth, items, parent):
-            key = codes[items] + parent.astype(np.int64) * fanout
-            seen.append(items[np.argsort(key.astype(np.int32), kind="stable")])
+            seen.append(parent.astype(np.int64) * fanout + codes[items])
             return codes[items]
 
         grow_levels(n_items, fanout, decide, child_codes)
-        n_split = 1 if n_levels == 1 else fanout
-        assert n_split * fanout > 1 << 16
         assert len(seen) == 2 * n_levels + 1
-        for want, got in zip(seen[1::2], seen[2::2]):
-            assert np.array_equal(got, want)
+        sizes, items, node = seen[-1]
+        assert sizes.size > 1 << 16
+        assert np.array_equal(items, np.arange(n_items))
+        assert np.array_equal(node, seen[-2])
+        assert np.array_equal(sizes, np.bincount(node, minlength=sizes.size))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fanout=st.sampled_from([2, 4, 16]),
+        n_items=st.integers(0, 40),
+        n_levels=st.integers(1, 3),
+        p_split=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_a_brute_force_grouping(self, fanout, n_items, n_levels, p_split, seed):
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, fanout, size=(n_levels, n_items))
+        masks, seen = [], []
+
+        def decide(depth, sizes, items, node):
+            seen.append((sizes.tolist(), dict(zip(items.tolist(), node.tolist()))))
+            masks.append((rng.random(sizes.size) < p_split) & (depth < n_levels))
+            return masks[-1]
+
+        grow_levels(n_items, fanout, decide, lambda depth, items, parent: codes[depth][items])
+
+        # reference: each level is a list of nodes, each node a list of item ids
+        groups, want = [list(range(n_items))], []
+        for depth, split in enumerate(masks):
+            want.append(([len(g) for g in groups], {i: k for k, g in enumerate(groups) for i in g}))
+            groups = [
+                [i for i in g if codes[depth][i] == code]
+                for g, s in zip(groups, split) if s for code in range(fanout)
+            ]
+        assert seen == want

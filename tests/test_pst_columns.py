@@ -327,6 +327,17 @@ class TestDocumentChecks:
         doc["l_max"] = 1
         assert markov.pst_from_json_dict(doc).l_max == 1
 
+    def test_numpy_l_max_writes_a_loadable_integer(self):
+        root = PstNode(id=0, predictor=(), hist=np.array([0.0, 4.0, 6.0, 4.0]))
+        text = Pst(Alphabet(("A", "B")), np.int64(3), nodes=[root]).dumps()
+        assert json.loads(text)["l_max"] == 3
+        assert markov.pst_from_json_dict(json.loads(text)).l_max == 3
+
+    @pytest.mark.parametrize("l_max", [3.5, 0])
+    def test_constructor_rejects_an_l_max_the_loader_rejects(self, l_max):
+        with pytest.raises(ParameterError, match="l_max must be an integer >= 1"):
+            Pst(Alphabet(("A", "B")), l_max, nodes=[PstNode(id=0, predictor=())])
+
     def test_start_marker_count_rejected(self):
         doc = one_node_document()
         clean = markov.pst_from_json_dict(doc)

@@ -1169,6 +1169,40 @@ class TestLoadValidation:
         with pytest.raises(InputDataError):
             spatial.load_tree(path)
 
+    def test_numpy_fanout_writes_a_loadable_integer(self):
+        node = TreeNode(id=0, depth=0, lo=(0.0, 0.0), hi=(1.0, 1.0), noisy_count=10.0)
+        text = DecompTree([node], np.int64(4)).dumps()
+        assert json.loads(text)["fanout"] == 4
+        assert spatial.tree_from_json_dict(json.loads(text)).fanout == 4
+
+    @pytest.mark.parametrize("fanout", [4.0, 0, -3])
+    def test_constructor_rejects_a_fanout_the_loader_rejects(self, fanout):
+        node = TreeNode(id=0, depth=0, lo=(0.0,), hi=(1.0,), noisy_count=1.0)
+        with pytest.raises(ParameterError, match="fanout must be an integer >= 1"):
+            DecompTree([node], fanout)
+
+    @pytest.mark.parametrize("fanout", [0, -3])
+    def test_fanout_below_one_rejected(self, tmp_path, fanout):
+        doc = {
+            "fanout": fanout,
+            "params": {"epsilon": None, "lambda": None, "theta": None, "delta": None},
+            "nodes": [{"id": 0, "depth": 0, "lo": [0.0], "hi": [1.0], "children": [],
+                       "noisy_count": 3.0}],
+        }
+        with pytest.raises(InputDataError, match=f"fanout {fanout} is below 1"):
+            spatial.tree_from_json_dict(doc)
+        tree, wl = tmp_path / "tree.json", tmp_path / "wl.csv"
+        tree.write_text(json.dumps(doc))
+        wl.write_text("0,1\n")
+        res = CliRunner().invoke(main, ["range-query", "--tree", str(tree), "--workload", str(wl)])
+        assert res.exit_code == 2, res.output
+
+    def test_one_cell_grid_has_fanout_one(self):
+        data = SpatialDataset(SpatialDomain((0.0,), (1.0,)), np.array([[0.25], [0.5]]))
+        grid = build_ug(data, 1.0, noiseless=True)
+        assert grid.fanout == 1 and grid.n_nodes == 2
+        assert trees_equal(spatial.tree_from_json_dict(grid.to_json_dict()), grid)
+
     def test_inverted_region_rejected(self):
         doc = {
             "fanout": 2,
