@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import evalbench, markov, spatial
-from .dp_core import float_texts, privtree_params
+from .dp_core import json_value, privtree_params
 from .errors import InputDataError, ParameterError, QuadratureError
 
 
@@ -51,8 +51,21 @@ def _guarded(fn):
     return wrapper
 
 
+def _config_kind(opt: click.Option) -> tuple:
+    """The JSON type of a config value for ``opt``, and its name."""
+    if opt.is_flag:
+        return bool, "a boolean"
+    if isinstance(opt.type, click.types.IntParamType):
+        return int, "an integer"
+    if isinstance(opt.type, click.types.FloatParamType):
+        return float, "a number"
+    return str, "a string"
+
+
 def _apply_config(config_path, values: dict) -> dict:
-    """Overlay a JSON config onto flag values; config entries win."""
+    """Overlay a JSON config onto flag values; config entries win.  A value
+    must have its option's JSON type, be one of its choices, and may be null
+    only where the option is optional with a default of None."""
     if config_path is None:
         return values
     try:
@@ -62,10 +75,28 @@ def _apply_config(config_path, values: dict) -> dict:
         raise ParameterError(f"{config_path}: invalid config JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParameterError(f"{config_path}: config must be a JSON object")
+    options = {opt.name: opt for opt in click.get_current_context().command.params}
     for key, val in doc.items():
         norm = key.replace("-", "_")
         if norm not in values:
             raise ParameterError(f"{config_path}: unknown config key {key!r}")
+        opt = options[norm]
+        if val is None:
+            if opt.default is not None or opt.required:
+                raise ParameterError(f"{config_path}: config key {key!r} may not be null")
+        else:
+            kind, name = _config_kind(opt)
+            try:
+                json_value(val, kind, key)
+            except (TypeError, OverflowError) as exc:
+                raise ParameterError(
+                    f"{config_path}: config key {key!r} must be {name}, got {val!r}"
+                ) from exc
+            if isinstance(opt.type, click.Choice) and val not in opt.type.choices:
+                raise ParameterError(
+                    f"{config_path}: config key {key!r} must be one of "
+                    f"{list(opt.type.choices)}, got {val!r}"
+                )
         values[norm] = val
     return values
 
@@ -98,21 +129,6 @@ def _write_text(path, text: str) -> None:
 
 def _dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
-
-
-_QUERY_ROW = '    {\n      "estimate": %s,\n      "exact": %s,\n      "rel_error": %s\n    }'
-
-
-def _report_json(report: evalbench.EvalReport) -> str:
-    """``_dump_json(report.to_json_dict())``, with the query rows, which sort
-    last, written from the report's columns."""
-    text = _dump_json({**report.to_json_dict(), "queries": []})
-    n = report.estimates.size
-    if not n:
-        return text
-    values = float_texts(np.stack([report.estimates, report.exacts, report.rel_errors], axis=1))
-    rows = ",\n".join([_QUERY_ROW] * n) % tuple(values.ravel().tolist())
-    return text[: -len("[]\n}")] + "[\n" + rows + "\n  ]\n}"
 
 
 def _check_jobs(jobs: int) -> None:
@@ -235,7 +251,7 @@ def cmd_range_query(**kw):
     if kw["fmt"] == "table":
         _write_text(kw["output_path"], report.to_text_table())
     else:
-        _write_text(kw["output_path"], _report_json(report))
+        _write_text(kw["output_path"], report.dumps())
 
 
 @main.command("seq-build")
@@ -263,8 +279,6 @@ def cmd_seq_build(**kw):
         raise ParameterError("--lmax is required (sequence length cap)")
     alphabet = kw["alphabet"]
     if alphabet is not None:
-        if not isinstance(alphabet, str):
-            raise ParameterError(f"alphabet must be whitespace-separated tokens, got {alphabet!r}")
         alphabet = markov.Alphabet(tuple(alphabet.split()))
     _warn_noiseless(kw["noiseless"])
     raw = markov.load_sequences(kw["input_path"])
@@ -364,7 +378,7 @@ def cmd_svt_audit(**kw):
     """Exact probability-ratio audit of the threshold-mechanism variants."""
     from . import svt_audit  # SciPy loads only for the audit
     kw = _apply_config(kw.pop("config_path"), kw)
-    variant = str(kw["variant"]).lower()
+    variant = kw["variant"].lower()
     _check_jobs(kw["jobs"])
     rows = svt_audit.run_default_audit(
         lam=kw["lam"], theta=kw["theta"], k=kw["k"], jobs=kw["jobs"], variant=variant

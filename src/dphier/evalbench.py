@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dp_core import float_texts
 from .errors import InputDataError, ParameterError
 from .spatial import _PAIR_BUDGET, DecompTree, RangeQuery, SpatialDataset, SpatialDomain
 from .spatial import range_counts
@@ -254,6 +255,9 @@ def exact_range_counts(data: SpatialDataset, queries) -> np.ndarray:
     return out
 
 
+_QUERY_ROW = '    {\n      "estimate": %s,\n      "exact": %s,\n      "rel_error": %s\n    }'
+
+
 @dataclass
 class EvalReport:
     """Per-query estimates vs ground truth with aggregate relative errors."""
@@ -279,18 +283,22 @@ class EvalReport:
         }
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "delta": self.delta,
-            "aggregates": self.aggregates,
-            "queries": [
-                {"estimate": float(a), "exact": float(b), "rel_error": float(r)}
-                for a, b, r in zip(self.estimates, self.exacts, self.rel_errors)
-            ],
-        }
+        """The report document as a dict, read back from :meth:`dumps`."""
+        return json.loads(self.dumps())
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """The report document: ``json.dumps(doc, sort_keys=True, indent=2)``
+        of ``{"aggregates", "delta", "label", "queries": [{"estimate",
+        "exact", "rel_error"}]}``, with the query rows, which sort last,
+        written from the columns; it defines the format."""
+        head = {"aggregates": self.aggregates, "delta": self.delta, "label": self.label}
+        text = json.dumps({**head, "queries": []}, sort_keys=True, indent=2)
+        n = self.estimates.size
+        if not n:
+            return text
+        values = float_texts(np.stack([self.estimates, self.exacts, self.rel_errors], axis=1))
+        rows = ",\n".join([_QUERY_ROW] * n) % tuple(values.ravel().tolist())
+        return text[: -len("[]\n}")] + "[\n" + rows + "\n  ]\n}"
 
     def to_text_table(self, max_rows: int = 20) -> str:
         header = f"{'#':>6}  {'estimate':>14}  {'exact':>12}  {'rel_error':>10}"

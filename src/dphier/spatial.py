@@ -132,8 +132,8 @@ class RangeQuery:
 class TreeNode:
     """One region of a decomposition tree.
 
-    ``exact_count`` must never reach a release artifact; the serializer
-    refuses a tree that carries one.
+    ``exact_count`` must never reach a release artifact; :class:`DecompTree`
+    refuses a node list that carries one.
     """
 
     id: int
@@ -155,56 +155,62 @@ class DecompTree:
     ``params_info`` carries the four serialized keys (epsilon, lambda, theta,
     delta), with ``None`` where a builder has no such notion.
 
-    The builders and the loader store the nodes as :class:`_Columns`, and
-    library code reads and writes only these.  :class:`TreeNode` objects are
-    for callers: ``nodes``, ``node(i)`` and ``leaves()`` build them, and a
-    caller may pass them in as ``nodes``, whose columns are then derived on
-    each read until :func:`attach_noisy_counts` stores columns and drops the
-    list.  ``_arrays`` and ``_grid`` are query caches: code that changes
-    counts must drop them, as :func:`attach_noisy_counts` does.
+    The nodes are stored as :class:`_Columns`, given as ``nodes`` or
+    converted once from a list of :class:`TreeNode` values (node ``i`` is
+    ``nodes[i]``), which is refused if a value carries an ``exact_count``.
+    Every internal node has exactly ``fanout`` children.  ``nodes``,
+    ``node(i)`` and ``leaves()`` make values on request; writing into one
+    does not change the tree.  ``_view`` caches what :func:`range_counts`
+    reads; code that changes counts must drop it, as
+    :func:`attach_noisy_counts` does.
     """
 
     def __init__(self, nodes, fanout: int, params_info: dict | None = None, root: int = 0):
         if not (isinstance(fanout, (int, np.integer)) and fanout >= 1):
             raise ParameterError(f"fanout must be an integer >= 1, got {fanout!r}")
-        self._nodes = nodes
+        if not isinstance(nodes, _Columns):
+            if any(v.exact_count is not None for v in nodes):
+                raise InputDataError("tree nodes carry exact counts; refusing to store them")
+            nodes = _node_columns(nodes)
+        n_kids = np.diff(nodes.first)
+        wrong = np.flatnonzero((n_kids > 0) & (n_kids != fanout))
+        if wrong.size:
+            nid = int(wrong[0])
+            raise InputDataError(
+                f"node {nid} has {n_kids[nid]} children, but the tree's fanout is {fanout}"
+            )
+        self._cols = nodes
         self.fanout = int(fanout)
         self.params_info = {} if params_info is None else params_info
         self.root = root
-        self._cols: _Columns | None = None
-        self._arrays: _TreeArrays | None = None
-        self._grid: dict | None = None
+        self._view: _TreeArrays | _Grid | None = None
 
     @property
     def nodes(self) -> list:
-        if self._nodes is None:
-            self._nodes = _column_nodes(self._cols)
-            self._cols = None
-        return self._nodes
+        return _column_nodes(self._cols, np.arange(self.n_nodes))
 
     @property
     def dims(self) -> int:
-        return _columns(self).lo.shape[1]
+        return self._cols.lo.shape[1]
 
     @property
     def domain(self) -> SpatialDomain:
         """The root's region."""
-        cols = _columns(self)
-        return SpatialDomain(cols.lo[self.root], cols.hi[self.root])
+        return SpatialDomain(self._cols.lo[self.root], self._cols.hi[self.root])
 
     @property
     def n_nodes(self) -> int:
-        return _columns(self).depth.size
+        return self._cols.depth.size
 
     @property
     def n_leaves(self) -> int:
-        return int(np.count_nonzero(np.diff(_columns(self).first) == 0))
+        return int(np.count_nonzero(np.diff(self._cols.first) == 0))
 
     def node(self, nid: int) -> TreeNode:
-        return self.nodes[nid]
+        return _column_nodes(self._cols, np.array([nid]))[0]
 
     def leaves(self):
-        return [v for v in self.nodes if v.is_leaf]
+        return _column_nodes(self._cols, np.flatnonzero(np.diff(self._cols.first) == 0))
 
     def to_json_dict(self) -> dict:
         """The release document as a dict, read back from :meth:`dumps`."""
@@ -214,10 +220,8 @@ class DecompTree:
         """The release document: ``json.dumps(doc, sort_keys=True)`` of
         ``{"fanout", "params", "nodes": [{"children", "depth", "hi", "id",
         "lo", "noisy_count"?}]}``, written row by row from the columns; it
-        defines the format.  Refuses to leak exact counts."""
-        if self._nodes is not None and any(v.exact_count is not None for v in self._nodes):
-            raise InputDataError("tree still carries exact counts; refusing to serialize")
-        cols = _columns(self)
+        defines the format."""
+        cols = self._cols
         n = cols.depth.size
         d = cols.lo.size // n if n else 0
         coords = ", ".join(["%s"] * d)
@@ -252,7 +256,7 @@ def trees_equal(a: DecompTree, b: DecompTree) -> bool:
     if a.fanout != b.fanout or a.root != b.root:
         return False
     # a missing count is stored as 0.0, so the count columns compare as a whole
-    return all(map(np.array_equal, _columns(a), _columns(b)))
+    return all(map(np.array_equal, a._cols, b._cols))
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +286,6 @@ def _csr_first(n_kids: np.ndarray) -> np.ndarray:
     return first
 
 
-def _uniform_fanout(first: np.ndarray) -> int:
-    """The number of children when every internal node has the same number,
-    else 0."""
-    n_kids = np.diff(first)
-    sizes = np.unique(n_kids[n_kids > 0])
-    return int(sizes[0]) if sizes.size == 1 else 0
-
-
 def _node_columns(nodes: list) -> _Columns:
     n = len(nodes)
     first = _csr_first(np.fromiter((len(v.children) for v in nodes), np.int64, n))
@@ -305,28 +301,19 @@ def _node_columns(nodes: list) -> _Columns:
     )
 
 
-def _column_nodes(cols: _Columns) -> list:
-    lo, hi, count = cols.lo.tolist(), cols.hi.tolist(), cols.count.tolist()
-    depth, first, kids = cols.depth.tolist(), cols.first.tolist(), cols.kids.tolist()
+def _column_nodes(cols: _Columns, ids: np.ndarray) -> list:
+    """:class:`TreeNode` values of the nodes ``ids``, made from the columns."""
+    depth, lo, hi, count, has = (
+        c[ids].tolist() for c in (cols.depth, cols.lo, cols.hi, cols.count, cols.has_count)
+    )
+    bounds = cols.first[ids].tolist(), cols.first[ids + 1].tolist()
     return [
         TreeNode(
-            id=i, depth=depth[i], lo=tuple(lo[i]), hi=tuple(hi[i]),
-            children=kids[first[i] : first[i + 1]],
-            noisy_count=count[i] if has else None,
+            id=nid, depth=depth[k], lo=tuple(lo[k]), hi=tuple(hi[k]),
+            children=cols.kids[a:b].tolist(), noisy_count=count[k] if has[k] else None,
         )
-        for i, has in enumerate(cols.has_count.tolist())
+        for k, (nid, a, b) in enumerate(zip(ids.tolist(), *bounds))
     ]
-
-
-def _columns(tree: DecompTree) -> _Columns:
-    """The tree's stored columns, or those of its node list."""
-    return tree._cols if tree._nodes is None else _node_columns(tree._nodes)
-
-
-def _column_tree(cols: _Columns, fanout: int, params_info: dict, root: int = 0) -> DecompTree:
-    tree = DecompTree(None, fanout, params_info, root)
-    tree._cols = cols
-    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +352,7 @@ def _split_geometry(cols: _Columns, parents: np.ndarray, fanout: int):
     first = cols.kids[cols.first[parents]]
     first_lo, first_hi = cols.lo[first], cols.hi[first]
     moved = (first_lo != lo) | (first_hi != hi)
-    n_kids = cols.first[parents + 1] - cols.first[parents]
-    bad = (n_kids != fanout) | (n_kids != 1 << moved.sum(axis=1))
-    if bad.any() or (moved & (first_lo != lo)).any():
+    if (fanout != 1 << moved.sum(axis=1)).any() or (moved & (first_lo != lo)).any():
         raise InputDataError("tree children do not form a recognized bisection")
     return first_hi, (moved << (np.cumsum(moved, axis=1) - moved)).astype(np.int32)
 
@@ -462,7 +447,7 @@ def build_privtree(
         "theta": params.theta,
         "delta": params.delta,
     }
-    return _column_tree(cols, fanout, info)
+    return DecompTree(cols, fanout, info)
 
 
 def build_simple_tree(
@@ -501,7 +486,7 @@ def build_simple_tree(
     cols = _grow(data, d, rule)
     cols = cols._replace(count=np.concatenate(noisy), has_count=np.ones(cols.count.size, bool))
     info = {"epsilon": None, "lambda": float(lam), "theta": float(theta), "delta": None}
-    return _column_tree(cols, 1 << d, info)
+    return DecompTree(cols, 1 << d, info)
 
 
 def build_ug(
@@ -537,9 +522,7 @@ def build_ug(
         count=np.append(0.0, noisy), has_count=np.arange(cells + 1) > 0,
     )
     info = {"epsilon": float(epsilon), "lambda": 1.0 / epsilon, "theta": None, "delta": None}
-    tree = _column_tree(cols, cells, info)
-    tree._grid = _detect_grid(cols, 0, cells)
-    return tree
+    return DecompTree(cols, cells, info)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +535,7 @@ def _leaf_exact_counts(tree: DecompTree, data: SpatialDataset) -> dict:
     partition of the points down the tree."""
     if tree.domain != data.domain:
         raise InputDataError("tree domain does not match dataset domain")
-    cols = _columns(tree)
+    cols = tree._cols
     out = {}
     level = np.array([tree.root])
 
@@ -567,7 +550,7 @@ def _leaf_exact_counts(tree: DecompTree, data: SpatialDataset) -> dict:
         # level holds the splitting parents here; advance it to their children
         nonlocal level
         mids, weights = _split_geometry(cols, level, tree.fanout)
-        level = _children(cols.first, cols.kids, 0, level)[0]
+        level = _children(cols.first, cols.kids, tree.fanout, level)
         return _child_codes(data.points, items, parent, mids, weights)
 
     grow_levels(data.n, tree.fanout, decide, child_codes)
@@ -599,12 +582,11 @@ def attach_noisy_counts(
     noisy = np.array([counts[nid] for nid in ids], dtype=np.float64)
     if not noiseless:
         noisy += sample_laplace(1.0 / epsilon_counts, rng, size=noisy.size)
-    cols = _columns(tree)
+    cols = tree._cols
     count, has_count = cols.count.copy(), cols.has_count.copy()
     count[ids], has_count[ids] = noisy, True
     tree._cols = cols._replace(count=count, has_count=has_count)
-    tree._nodes = None
-    tree._arrays = tree._grid = None  # query caches built from the old counts
+    tree._view = None  # built from the old counts
     return tree
 
 
@@ -624,8 +606,8 @@ class _TreeArrays:
     when it carries none), and the box ``[lo, -hi]`` again for internal
     nodes but ``+inf`` for leaves (2d), against which a query can never cut
     a leaf.  ``first`` and ``kids`` are the CSR children of
-    :class:`_Columns`, and ``fanout`` is the number of children when every
-    internal node has the same number (else 0)."""
+    :class:`_Columns`, and ``fanout`` the number of children of every
+    internal node."""
 
     table: np.ndarray
     first: np.ndarray
@@ -633,12 +615,12 @@ class _TreeArrays:
     fanout: int
 
     @classmethod
-    def from_columns(cls, cols: _Columns, root: int) -> _TreeArrays:
+    def from_columns(cls, cols: _Columns, root: int, fanout: int) -> _TreeArrays:
         lo, hi = cols.lo.T, cols.hi.T
         neg_width = lo - hi
         if not np.isfinite(neg_width).all():
             raise InputDataError("every region must have a finite width")
-        count = _column_sums(cols, root)
+        count = _column_sums(cols, root, fanout)
         n_kids = np.diff(cols.first)
         own = (n_kids > 0) & cols.has_count
         count[own] = cols.count[own]
@@ -646,38 +628,26 @@ class _TreeArrays:
         inner_box = np.where(n_kids > 0, box, np.inf)
         # take() copies a non-contiguous source on every call
         table = np.ascontiguousarray(np.vstack([box, neg_width, count, inner_box]))
-        return cls(table, cols.first, cols.kids, _uniform_fanout(cols.first))
+        return cls(table, cols.first, cols.kids, fanout)
 
 
 def _children(first, kids, fanout, parents):
     """Children of the internal nodes ``parents`` (repeats allowed) as one
-    array, each parent's block in stored order, and the block lengths."""
-    if fanout:
-        rows = first.take(parents) // fanout
-        return kids.reshape(-1, fanout).take(rows, axis=0).ravel(), fanout
-    k = first[parents + 1] - first[parents]
-    offsets = np.repeat(first[parents] - (np.cumsum(k) - k), k)
-    return kids[offsets + np.arange(offsets.size)], k
+    array, each parent's ``fanout`` children in stored order."""
+    return kids.reshape(-1, fanout).take(first.take(parents) // fanout, axis=0).ravel()
 
 
-def _fold(values, k):
-    """Sum each of the consecutive blocks of ``values`` with lengths ``k``
+def _fold(values, fanout):
+    """Sum each of the consecutive blocks of ``fanout`` entries of ``values``
     by adding its entries one at a time, in order, starting from 0.0: the
     arithmetic of ``sum(block)``, so results are bit-identical to it."""
-    if isinstance(k, int):
-        # accumulate adds strictly left to right; it starts from the first
-        # entry, not 0.0, which only turns sum()'s +0.0 into -0.0, and the
-        # trailing + 0.0 turns it back
-        return np.add.accumulate(values.reshape(-1, k), axis=1)[:, -1] + 0.0
-    out = np.zeros(k.size)
-    starts = np.cumsum(k) - k
-    for s in range(int(k.max(initial=0))):
-        rows = np.flatnonzero(k > s)
-        out[rows] += values[starts[rows] + s]
-    return out
+    # accumulate adds strictly left to right; it starts from the first entry,
+    # not 0.0, which only turns sum()'s +0.0 into -0.0, and the trailing
+    # + 0.0 turns it back
+    return np.add.accumulate(values.reshape(-1, fanout), axis=1)[:, -1] + 0.0
 
 
-def _column_sums(cols: _Columns, root: int) -> np.ndarray:
+def _column_sums(cols: _Columns, root: int, fanout: int) -> np.ndarray:
     """Sum of the leaves' noisy counts under every node, indexed by node id;
     an internal node adds its children one at a time, in stored order."""
     first, kids = cols.first, cols.kids
@@ -686,28 +656,15 @@ def _column_sums(cols: _Columns, root: int) -> np.ndarray:
             "tree has no noisy counts attached; run attach_noisy_counts first"
         )
     sums = cols.count.copy()
-    fanout = _uniform_fanout(first)
     levels = []
     level = np.array([root])
     while level.size:
         inner = level[first[level + 1] > first[level]]
-        level, k = _children(first, kids, fanout, inner)
-        levels.append((inner, level, k))
-    for inner, children, k in reversed(levels):
-        sums[inner] = _fold(sums[children], k)
+        level = _children(first, kids, fanout, inner)
+        levels.append((inner, level))
+    for inner, children in reversed(levels):
+        sums[inner] = _fold(sums[children], fanout)
     return sums
-
-
-def _subtree_sums(tree: DecompTree) -> np.ndarray:
-    return _column_sums(_columns(tree), tree.root)
-
-
-def _tree_arrays(tree: DecompTree) -> _TreeArrays:
-    """The tree's cached array view, built on first use after counts are
-    attached (:func:`attach_noisy_counts` drops it)."""
-    if tree._arrays is None:
-        tree._arrays = _TreeArrays.from_columns(_columns(tree), tree.root)
-    return tree._arrays
 
 
 # (query, node) pairs that one block of queries may create across its levels
@@ -744,22 +701,29 @@ def _answer_block(view: _TreeArrays, qbox, root: int, budget):
         partial = (hit & cut).nonzero()[0]
         parents = ni.take(partial)
         if budget is not None:
-            held += int((view.first[parents + 1] - view.first[parents]).sum())
+            held += parents.size * view.fanout
             if held > budget:
                 return None
-        ni, k = _children(view.first, view.kids, view.fanout, parents)
-        query = np.repeat(query.take(partial, axis=1), k, axis=1)
-        levels.append((value, partial, k))
+        ni = _children(view.first, view.kids, view.fanout, parents)
+        query = np.repeat(query.take(partial, axis=1), view.fanout, axis=1)
+        levels.append((value, partial))
     below = np.empty(0)
-    for value, partial, k in reversed(levels):
-        value[partial] = _fold(below, k)
+    for value, partial in reversed(levels):
+        value[partial] = _fold(below, view.fanout)
         below = value
     return below
 
 
-def _grid_range_count(tree: DecompTree, q: RangeQuery) -> float:
-    edges, counts = tree._grid["edges"], tree._grid["counts"]
-    res = np.asarray(counts, dtype=np.float64)
+class _Grid(NamedTuple):
+    """The view of a uniform grid: the ``linspace`` cell edges of each
+    dimension and the cell counts (m x ... x m)."""
+
+    edges: list
+    counts: np.ndarray
+
+
+def _grid_range_count(grid: _Grid, q: RangeQuery) -> float:
+    edges, res = grid.edges, grid.counts
     for j in range(len(edges)):
         e = edges[j]
         width = e[1:] - e[:-1]
@@ -777,20 +741,25 @@ def range_counts(tree: DecompTree, queries) -> np.ndarray:
     regions are skipped, contained regions add their (derived) count,
     partially covered leaves contribute their noisy count scaled by the
     volume fraction of the overlap.  Queries reaching outside the domain are
-    effectively clipped to it.  Uniform grids answer each query with one
-    separable contraction instead.  Returns one float64 estimate per
+    effectively clipped to it.  A uniform grid, recognized at the first
+    query (:func:`_detect_grid`), answers each query with one separable
+    contraction instead.  Returns one float64 estimate per
     :class:`RangeQuery` in ``queries``, in order.
     """
     queries, dims = list(queries), tree.dims
     for q in queries:
         if q.dims != dims:
             raise InputDataError(f"query dimensionality {q.dims} does not match tree ({dims})")
-    if tree._grid is not None:
-        return np.array([_grid_range_count(tree, q) for q in queries], dtype=np.float64)
     out = np.empty(len(queries))
     if not queries:
         return out
-    view = _tree_arrays(tree)
+    if tree._view is None:
+        tree._view = _detect_grid(tree._cols, tree.root, tree.fanout)
+        if tree._view is None:
+            tree._view = _TreeArrays.from_columns(tree._cols, tree.root, tree.fanout)
+    view = tree._view
+    if isinstance(view, _Grid):
+        return np.array([_grid_range_count(view, q) for q in queries])
     qbox = np.array([q.lo + q.hi for q in queries]).T
     qbox[dims:] *= -1.0
     start, block = 0, len(queries)
@@ -906,7 +875,8 @@ def _raise_first_defect(raw: list):
 
 
 def tree_from_json_dict(doc: dict) -> DecompTree:
-    """A tree from its document, stored as columns (see :class:`DecompTree`)."""
+    """A tree from its document, stored as columns; :class:`DecompTree`
+    checks that every internal node has ``fanout`` children."""
     try:
         fanout, params_info, raw_nodes = (
             json_value(doc[key], kind, key)
@@ -922,9 +892,7 @@ def tree_from_json_dict(doc: dict) -> DecompTree:
         len(raw_nodes), root, parents, cols.kids,
         cols.depth[cols.kids] == cols.depth[parents] + 1,
     )
-    tree = _column_tree(cols, fanout, dict(params_info), root)
-    tree._grid = _detect_grid(cols, root, fanout)
-    return tree
+    return DecompTree(cols, fanout, dict(params_info), root)
 
 
 def load_tree(path) -> DecompTree:
@@ -943,13 +911,12 @@ def _grid_cells(lo, hi, m: int):
     return edges, cell_lo, cell_hi
 
 
-def _detect_grid(cols: _Columns, root: int, fanout: int):
-    """The grid fast-path state of a uniform grid, else None: a root whose
-    ``fanout == m**d`` children, all leaves with counts, are the only other
-    nodes and are the cells of :func:`_grid_cells` over the root, in C
-    order."""
+def _detect_grid(cols: _Columns, root: int, fanout: int) -> _Grid | None:
+    """The view of a uniform grid, else None: a root whose ``fanout == m**d``
+    children, all leaves with counts, are the only other nodes and are the
+    cells of :func:`_grid_cells` over the root, in C order."""
     kids = cols.kids[cols.first[root] : cols.first[root + 1]]
-    if not kids.size or kids.size != fanout or cols.depth.size != kids.size + 1:
+    if not kids.size or cols.depth.size != fanout + 1:
         return None
     d = cols.lo.shape[1]
     m = round(fanout ** (1.0 / d))
@@ -963,7 +930,7 @@ def _detect_grid(cols: _Columns, root: int, fanout: int):
         and (cols.hi[kids] == cell_hi).all()
     ):
         return None
-    return {"edges": edges, "counts": cols.count[kids].reshape((m,) * d)}
+    return _Grid(edges, cols.count[kids].reshape((m,) * d))
 
 
 def _parse_csv_floats(path, expected_fields=None):
@@ -1142,7 +1109,7 @@ def tree_shape_mask(
     if dims_per_level is None:
         dims_per_level = tree.dims
     fanout = 1 << dims_per_level
-    cols = _columns(tree)
+    cols = tree._cols
     first, kids, depth = cols.first.tolist(), cols.kids.tolist(), cols.depth.tolist()
     mask = 0
     pairs = [(0, tree.root)]

@@ -141,6 +141,49 @@ class TestSpatialBuild:
         assert res.exit_code == 1
 
 
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("spatial-build", {"epsilon": "1"}, "'epsilon' must be a number, got '1'"),
+            ("spatial-build", {"epsilon": True}, "'epsilon' must be a number, got True"),
+            ("spatial-build", {"epsilon": 10**400}, "'epsilon' must be a number"),
+            ("spatial-build", {"seed": "x"}, "'seed' must be an integer, got 'x'"),
+            ("spatial-build", {"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+            ("spatial-build", {"depth-cap": 3.0}, "'depth-cap' must be an integer, got 3.0"),
+            ("spatial-build", {"noiseless": 1}, "'noiseless' must be a boolean, got 1"),
+            ("spatial-build", {"domain_lo": [0, 0]}, "'domain_lo' must be a string"),
+            ("spatial-build", {"seed": None}, "config key 'seed' may not be null"),
+            ("spatial-build", {"input_path": None}, "config key 'input_path' may not be null"),
+            ("range-query", {"fmt": "xml"}, "'fmt' must be one of ['json', 'table'], got 'xml'"),
+            ("seq-topk", {"k": None}, "config key 'k' may not be null"),
+            ("svt-audit", {"variant": 3}, "'variant' must be a string, got 3"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_is_config_error(self, runner, tmp_path, command,
+                                                            doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        required = {
+            "spatial-build": ["--input", "p.csv", "--output", str(tmp_path / "t.json")],
+            "range-query": ["--tree", "t.json", "--workload", "w.csv"],
+            "seq-topk": ["--pst", "p.json", "--k", "3"],
+            "svt-audit": [],
+        }[command]
+        res = runner.invoke(main, [command, *required, "--config", str(cfg)])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+        assert res.output.startswith(f"error: {cfg}: config key ") and message in res.output
+
+    def test_config_null_where_the_default_is_none(self, runner, tmp_path, points_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fanout": None, "noiseless": False, "theta": 0}))
+        res = runner.invoke(main, [
+            "spatial-build", "--input", str(points_csv), "--output", str(tmp_path / "t.json"),
+            "--epsilon", "1.0", "--domain-lo", "0,0", "--domain-hi", "1,1", "--config", str(cfg),
+        ])
+        assert res.exit_code == 0, res.output
+
+
 class TestRangeQuery:
     def test_empty_workload_empty_report(self, runner, tmp_path, points_csv):
         _, tree = build_tree(runner, tmp_path, points_csv)
@@ -437,7 +480,7 @@ class TestSequenceCommands:
         config.write_text(json.dumps({"alphabet": ["A", "B"]}))
         res, _ = self.build_pst(runner, tmp_path, sequences_txt, "--config", str(config))
         assert res.exit_code == 1, res.output
-        assert "alphabet must be whitespace-separated tokens" in res.output
+        assert "config key 'alphabet' must be a string, got ['A', 'B']" in res.output
 
     def test_noiseless_topk_matches_hand_counts(self, runner, tmp_path, sequences_txt):
         res, pst = self.build_pst(runner, tmp_path, sequences_txt, "--noiseless")

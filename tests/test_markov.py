@@ -811,12 +811,15 @@ class TestLoadValidation:
 # ---------------------------------------------------------------------------
 
 
-def walk(pst, context):
+def walk(pst, context, nodes=None):
+    """The deepest-suffix node of ``context``, walked over ``nodes``, a
+    ``pst.nodes`` list that callers walking many contexts make once."""
+    nodes = pst.nodes if nodes is None else nodes
     nid = pst.root
     for sym in reversed(context):
-        if sym not in pst.node(nid).children:
+        if sym not in nodes[nid].children:
             break
-        nid = pst.node(nid).children[sym]
+        nid = nodes[nid].children[sym]
     return nid
 
 
@@ -953,25 +956,23 @@ def psts(draw):
     return make(draw, l_max)
 
 
-def all_contexts(pst, length):
-    """Every string of START and symbol ids up to ``length``, oldest first."""
-    syms = (START_ID, *pst.alphabet.symbol_ids)
-    for n in range(length + 1):
-        yield from itertools.product(syms, repeat=n)
-
-
 class TestContextAutomaton:
     @given(pst=psts())
     @settings(max_examples=150, deadline=None)
     def test_state_node_is_the_suffix_walk_node(self, pst):
         reader = markov._automaton(pst)
-        depth = max(len(n.predictor) for n in pst.nodes)
-        for ctx in all_contexts(pst, depth + 2):
-            state = reader.empty
-            for sym in ctx:
-                state = reader.step(state, sym)
-            assert state.node == walk(pst, ctx) == markov._deepest_suffix_node(pst, ctx)
-        assert len(reader.states) <= 1 + sum(len(n.predictor) for n in pst.nodes)
+        nodes = pst.nodes
+        depth = max(len(n.predictor) for n in nodes)
+        syms = (START_ID, *pst.alphabet.symbol_ids)
+        # every string of START and symbol ids up to depth + 2, oldest first,
+        # depth-first, each one step from its parent's state
+        pending = [((), reader.empty)]
+        while pending:
+            ctx, state = pending.pop()
+            assert state.node == walk(pst, ctx, nodes) == markov._deepest_suffix_node(pst, ctx)
+            if len(ctx) < depth + 2:
+                pending.extend((ctx + (sym,), reader.step(state, sym)) for sym in syms)
+        assert len(reader.states) <= 1 + sum(len(n.predictor) for n in nodes)
         assert markov._automaton(pst) is reader
 
     @given(pst=psts(), count=st.integers(0, 40), seed=st.integers(0, 2**32),

@@ -47,6 +47,13 @@ def oracle_count(points, lo, hi):
     return n
 
 
+def force_tree_walk(tree):
+    """Install the level-by-level walk as the tree's query view, so a grid
+    is answered node by node."""
+    tree._view = spatial._TreeArrays.from_columns(tree._cols, tree.root, tree.fanout)
+    return tree
+
+
 def oracle_children(lo, hi, dims):
     mids = [(lo[j] + hi[j]) / 2.0 for j in dims]
     out = []
@@ -289,7 +296,7 @@ class TestAttachNoisyCounts:
         params = privtree_params(1.0, 4, 0.0)
         tree = build_privtree(uniform_4096, params, np.random.default_rng(3))
         attach_noisy_counts(tree, uniform_4096, 0.5, np.random.default_rng(4))
-        sums = spatial._subtree_sums(tree)
+        sums = spatial._column_sums(tree._cols, tree.root, tree.fanout)
         for node in tree.nodes:
             if not node.is_leaf:
                 assert sums[node.id] == pytest.approx(
@@ -376,8 +383,7 @@ class TestUniformGrid:
         rng = np.random.default_rng(2)
         data = SpatialDataset(unit_square, rng.random((2000, 2)))
         tree = build_ug(data, 0.4, rng)
-        generic = spatial.tree_from_json_dict(json.loads(tree.dumps()))
-        generic._grid = None  # force node-by-node traversal
+        generic = force_tree_walk(spatial.tree_from_json_dict(json.loads(tree.dumps())))
         for _ in range(40):
             lo = rng.random(2) * 0.7
             hi = lo + rng.random(2) * 0.3
@@ -391,7 +397,9 @@ class TestUniformGrid:
         data = SpatialDataset(unit_square, rng.random((500, 2)))
         tree = build_ug(data, 0.5, rng)
         reloaded = spatial.tree_from_json_dict(json.loads(tree.dumps()))
-        assert reloaded._grid is not None
+        assert reloaded._view is None  # recognized at the first query
+        range_count(reloaded, RangeQuery(unit_square.lo, unit_square.hi))
+        assert isinstance(reloaded._view, spatial._Grid)
 
     def test_empty_dataset_rejected(self, unit_square):
         with pytest.raises(ParameterError):
@@ -474,10 +482,24 @@ class TestReleaseHygiene:
 
     def test_serializer_refuses_exact_counts(self, uniform_4096):
         params = privtree_params(1.0, 4, 0.0)
+        nodes = build_privtree(uniform_4096, params, noiseless=True).nodes
+        nodes[0].exact_count = 4096
+        with pytest.raises(InputDataError, match="exact counts"):
+            DecompTree(nodes, 4)
+
+    def test_writing_into_a_node_value_leaves_the_tree_unchanged(self, uniform_4096):
+        params = privtree_params(1.0, 4, 0.0)
         tree = build_privtree(uniform_4096, params, noiseless=True)
-        tree.node(0).exact_count = 4096
-        with pytest.raises(InputDataError):
-            tree.to_json_dict()
+        attach_noisy_counts(tree, uniform_4096, 0.5, noiseless=True)
+        before = tree.dumps()
+        nodes, leaf = tree.nodes, tree.leaves()[0]
+        nodes[0].exact_count = 4096
+        nodes[0].children.clear()
+        nodes[1].noisy_count = -1.0
+        leaf.lo = (0.5, 0.5)
+        tree.node(2).children.append(0)
+        assert tree.dumps() == before
+        assert DecompTree(tree.nodes, 4, tree.params_info).dumps() == before
 
     def test_roundtrip_preserves_structure(self, uniform_4096):
         params = privtree_params(1.0, 4, 0.0)
@@ -543,11 +565,27 @@ class TestReleaseHygiene:
         pts = rng.random((40, 2))
         data = SpatialDataset(unit_square, pts)
         tree = build_ug(data, 0.9, noiseless=True)  # m = 2 at this budget
-        assert tree.fanout == 4 and tree._grid is not None
+        whole = RangeQuery(unit_square.lo, unit_square.hi)
+        assert tree.fanout == 4 and range_count(tree, whole) == data.n
+        assert isinstance(tree._view, spatial._Grid)
         bigger = SpatialDataset(unit_square, rng.random((400, 2)))
         attach_noisy_counts(tree, bigger, 0.5, noiseless=True)
-        whole = RangeQuery(unit_square.lo, unit_square.hi)
         assert range_count(tree, whole) == bigger.n
+
+    def test_attach_on_a_grid_answers_as_its_reloaded_copy(self, unit_square):
+        # the grid stays a grid after counts are attached, so the same tree
+        # answers the same bits before and after a save/load round trip
+        rng = np.random.default_rng(15)
+        tree = build_ug(SpatialDataset(unit_square, rng.random((40, 2))), 0.9, noiseless=True)
+        assert tree.fanout == 4  # m = 2 at this budget
+        data = SpatialDataset(unit_square, rng.random((400, 2)))
+        attach_noisy_counts(tree, data, 0.5, np.random.default_rng(16))
+        reloaded = spatial.tree_from_json_dict(json.loads(tree.dumps()))
+        lo, width = rng.random((2000, 2)) * 0.8, rng.random((2000, 2)) * 0.4
+        queries = [RangeQuery(tuple(a), tuple(a + w)) for a, w in zip(lo, width)]
+        got = spatial.range_counts(tree, queries)
+        assert got.tobytes() == spatial.range_counts(reloaded, queries).tobytes()
+        assert isinstance(tree._view, spatial._Grid)
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +770,9 @@ def reference_range_count(tree, q):
     return float(rec(tree.root))
 
 
-def mixed_fanout_tree():
-    """Hand-made unit-square tree whose internal nodes have 4, 2 and 4
-    children, so traversal cannot assume one fanout."""
+def mixed_fanout_nodes():
+    """Hand-made unit-square node list whose internal nodes have 4, 2 and 4
+    children, which no tree of one fanout has."""
     nodes = [TreeNode(id=0, depth=0, lo=(0.0, 0.0), hi=(1.0, 1.0))]
 
     def split(parent, regions):
@@ -745,16 +783,10 @@ def mixed_fanout_tree():
     split(nodes[0], oracle_children((0.0, 0.0), (1.0, 1.0), (0, 1)))
     split(nodes[1], oracle_children(nodes[1].lo, nodes[1].hi, (0,)))
     split(nodes[4], oracle_children(nodes[4].lo, nodes[4].hi, (0, 1)))
-    counts = np.random.default_rng(8).normal(10.0, 4.0, size=len(nodes))
-    for node, c in zip(nodes, counts.tolist()):
-        if node.is_leaf:
-            node.noisy_count = c
-    return DecompTree(nodes=nodes, fanout=4)
+    return nodes
 
 
 def _walk_tree(kind):
-    if kind == "mixed-fanout":
-        return mixed_fanout_tree()
     d, dims_per_level = (4, 2) if kind == "privtree-4d" else (2, 2)
     data = random_dataset(np.random.default_rng(31), n=3000, d=d)
     rng = np.random.default_rng(32)
@@ -762,15 +794,13 @@ def _walk_tree(kind):
         return build_simple_tree(data, 4.0, 5.0, 6, rng)
     if kind == "grid":
         grid = build_ug(data, 0.5, rng)
-        tree = spatial.tree_from_json_dict(json.loads(grid.dumps()))
-        tree._grid = None  # force node-by-node traversal
-        return tree
+        return force_tree_walk(spatial.tree_from_json_dict(json.loads(grid.dumps())))
     params = privtree_params(1.0, 1 << dims_per_level, 0.0)
     tree = build_privtree(data, params, rng, dims_per_level=dims_per_level)
     return attach_noisy_counts(tree, data, 0.5, rng)
 
 
-_WALK_KINDS = ("privtree-2d", "privtree-4d", "simple", "grid", "mixed-fanout")
+_WALK_KINDS = ("privtree-2d", "privtree-4d", "simple", "grid")
 walk_tree = functools.cache(_walk_tree)
 
 
@@ -1071,12 +1101,15 @@ def reference_tree(data, dims_per_level, rule):
 
 
 def reference_attach(tree, data, epsilon_counts, rng):
-    """One scalar draw per leaf, in sorted-id order."""
-    for node in sorted(tree.leaves(), key=lambda v: v.id):
-        pts = data.points
-        c = int(((pts >= node.lo) & (pts < node.hi)).all(axis=1).sum())
-        node.noisy_count = c + sample_laplace(1.0 / epsilon_counts, rng)
-    return tree
+    """One scalar draw per leaf, in sorted-id order, into the tree's node
+    list, from which a new tree is built."""
+    nodes = tree.nodes
+    for node in sorted(nodes, key=lambda v: v.id):
+        if node.is_leaf:
+            pts = data.points
+            c = int(((pts >= node.lo) & (pts < node.hi)).all(axis=1).sum())
+            node.noisy_count = c + sample_laplace(1.0 / epsilon_counts, rng)
+    return DecompTree(nodes, tree.fanout, tree.params_info, tree.root)
 
 
 class TestNoiseDrawOrder:
@@ -1103,7 +1136,7 @@ class TestNoiseDrawOrder:
         assert len(ref.nodes) > 20
         assert_same_release(tree, ref)
         attach_noisy_counts(tree, data, 0.5, np.random.default_rng(2))
-        reference_attach(ref, data, 0.5, np.random.default_rng(2))
+        ref = reference_attach(ref, data, 0.5, np.random.default_rng(2))
         assert_same_release(tree, ref)
 
     def test_simple_tree_matches_per_node_reference(self):
@@ -1197,6 +1230,34 @@ class TestLoadValidation:
         res = CliRunner().invoke(main, ["range-query", "--tree", str(tree), "--workload", str(wl)])
         assert res.exit_code == 2, res.output
 
+    @pytest.mark.parametrize("fanout, kept", [(7, 4), (1, 4), (4000, 4), (4, 3)])
+    def test_children_that_disagree_with_the_fanout_rejected(self, uniform_4096, tmp_path,
+                                                             fanout, kept):
+        params = privtree_params(1.0, 4, 0.0)
+        doc = build_privtree(uniform_4096, params, noiseless=True, depth_cap=1).to_json_dict()
+        assert [len(e["children"]) for e in doc["nodes"]] == [4, 0, 0, 0, 0]
+        doc["fanout"] = fanout
+        del doc["nodes"][kept + 1 :], doc["nodes"][0]["children"][kept:]
+        message = f"node 0 has {kept} children, but the tree's fanout is {fanout}"
+        with pytest.raises(InputDataError, match=message):
+            spatial.tree_from_json_dict(doc)
+        nodes = [
+            TreeNode(id=e["id"], depth=e["depth"], lo=tuple(e["lo"]), hi=tuple(e["hi"]),
+                     children=e["children"])
+            for e in doc["nodes"]
+        ]
+        with pytest.raises(InputDataError, match=message):
+            DecompTree(nodes, fanout)
+        tree, wl = tmp_path / "tree.json", tmp_path / "wl.csv"
+        tree.write_text(json.dumps(doc))
+        wl.write_text("0,0,1,1\n")
+        res = CliRunner().invoke(main, ["range-query", "--tree", str(tree), "--workload", str(wl)])
+        assert res.exit_code == 2 and message in res.output, res.output
+
+    def test_a_node_list_of_mixed_fanout_rejected(self):
+        with pytest.raises(InputDataError, match="node 1 has 2 children, but the tree's fanout is 4"):
+            DecompTree(mixed_fanout_nodes(), 4)
+
     def test_one_cell_grid_has_fanout_one(self):
         data = SpatialDataset(SpatialDomain((0.0,), (1.0,)), np.array([[0.25], [0.5]]))
         grid = build_ug(data, 1.0, noiseless=True)
@@ -1288,7 +1349,8 @@ def reference_tree_from_json_dict(doc):
     """The loader that built one TreeNode per entry, in document order; a
     node entry whose field does not convert raises InputDataError.  The
     checks marked "added" make every value have the JSON type of the
-    format, and a depth lie in [0, n)."""
+    format, a depth lie in [0, n) and an internal node have ``fanout``
+    children."""
     try:
         fanout = int(of_type(doc["fanout"], int, "fanout"))  # added: of_type
         params_info = dict(of_type(doc["params"], dict, "params"))  # added: of_type
@@ -1354,9 +1416,12 @@ def reference_tree_from_json_dict(doc):
         root,
         ((v.id, c, nodes[c].depth == v.depth + 1) for v in nodes for c in v.children),
     )
-    tree = DecompTree(nodes=nodes, fanout=fanout, params_info=params_info, root=root)
-    tree._grid = reference_detect_grid(tree)
-    return tree
+    for v in nodes:  # added
+        if v.children and len(v.children) != fanout:
+            raise InputDataError(
+                f"node {v.id} has {len(v.children)} children, but the tree's fanout is {fanout}"
+            )
+    return DecompTree(nodes=nodes, fanout=fanout, params_info=params_info, root=root)
 
 
 _LOAD_KINDS = (
@@ -1474,13 +1539,16 @@ def mutated_tree_docs(draw):
     return kind, doc, bool(mutations)
 
 
-def grids_equal(a, b):
+def grids_equal(tree, ref):
+    """The grid view that range_counts installs for ``tree`` equals the
+    reference's grid of ``ref``, or neither is a grid."""
+    a, b = spatial._detect_grid(tree._cols, tree.root, tree.fanout), reference_detect_grid(ref)
     if a is None or b is None:
         return a is b
     return (
-        len(a["edges"]) == len(b["edges"])
-        and all(x.tobytes() == y.tobytes() for x, y in zip(a["edges"], b["edges"]))
-        and a["counts"].tobytes() == b["counts"].tobytes()
+        len(a.edges) == len(b["edges"])
+        and all(x.tobytes() == y.tobytes() for x, y in zip(a.edges, b["edges"]))
+        and a.counts.tobytes() == b["counts"].tobytes()
     )
 
 
@@ -1499,10 +1567,9 @@ class TestColumnLoader:
             assert got == want
             return
         assert isinstance(got, DecompTree), got
-        assert got._nodes is None  # loading built no TreeNode objects
         assert got.root == want.root and got.fanout == want.fanout
         assert got.params_info == want.params_info and got.dims == want.dims
-        assert grids_equal(got._grid, want._grid)
+        assert grids_equal(got, want)
         queries = load_queries(want.dims)
         assert outcome(answers, got, queries) == outcome(answers, want, queries)
         assert trees_equal(got, want)
@@ -1535,7 +1602,7 @@ class TestColumnLoader:
         if isinstance(want, Raised):
             assert got == want
         else:
-            assert trees_equal(got, want) and grids_equal(got._grid, want._grid)
+            assert trees_equal(got, want) and grids_equal(got, want)
 
     @pytest.mark.parametrize("kind", _LOAD_KINDS)
     def test_attach_on_a_loaded_tree_matches_the_built_tree(self, kind):
@@ -1563,8 +1630,7 @@ class TestColumnLoader:
             loaded = spatial.tree_from_json_dict(doc)
             assert loaded.domain == data.domain
             spatial.range_counts(loaded, load_queries(loaded.dims))
-            loaded._grid = None
-            spatial.range_counts(loaded, load_queries(loaded.dims))
+            spatial.range_counts(force_tree_walk(loaded), load_queries(loaded.dims))
 
     def test_well_formed_document_skips_the_entry_reader(self, monkeypatch):
         docs = [load_fixture(kind)[1].to_json_dict() for kind in _LOAD_KINDS]
@@ -1596,7 +1662,7 @@ class TestColumnLoader:
         attach_noisy_counts(trees[0], data, 0.5, rng)
         attach_noisy_counts(trees[1], data4, 0.5, rng)
         for tree in trees:
-            assert tree._nodes is None and tree.dumps()
+            assert tree.dumps()
         out = tmp_path / "tree.json"
         res = CliRunner().invoke(main, [
             "spatial-build", "--input", str(points), "--output", str(out),
@@ -1605,12 +1671,12 @@ class TestColumnLoader:
         assert res.exit_code == 0, res.output
         loaded = spatial.load_tree(out)
         assert f"built tree: {loaded.n_nodes} nodes, {loaded.n_leaves} leaves" in res.output
-        assert loaded._nodes is None
 
-    def test_nodes_are_built_once_on_first_access(self):
+    def test_nodes_are_made_on_request(self):
         loaded = spatial.tree_from_json_dict(load_fixture("simple")[1].to_json_dict())
-        assert loaded._nodes is None
-        assert loaded.nodes is loaded.nodes and loaded.node(3) is loaded.nodes[3]
+        assert loaded.nodes is not loaded.nodes and loaded.nodes == loaded.nodes
+        assert loaded.node(3) is not loaded.node(3) and loaded.node(3) == loaded.nodes[3]
+        assert loaded.leaves() == [v for v in loaded.nodes if v.is_leaf]
         assert len(loaded.leaves()) == len(load_fixture("simple")[1].leaves())
 
 
@@ -1705,17 +1771,21 @@ class TestColumnsOnly:
         before = listed.node(0)
         attach_noisy_counts(built, uniform_4096, 0.5, np.random.default_rng(2))
         attach_noisy_counts(listed, uniform_4096, 0.5, np.random.default_rng(2))
-        assert listed._nodes is None
         assert listed.dumps() == built.dumps()
         assert listed.node(0) is not before and before.noisy_count is None
 
-    def test_shape_mask_builds_no_tree_nodes(self):
+    def test_shape_mask_builds_no_tree_nodes(self, monkeypatch):
         data = one_d_fixture()
         tree = build_privtree(
             data, privtree_params(1.0, 2, 0.0), np.random.default_rng(4), depth_cap=3
         )
-        mask = spatial.tree_shape_mask(tree, depth_cap=3)
-        assert tree._nodes is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TreeNode was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spatial, "TreeNode", refuse)
+            mask = spatial.tree_shape_mask(tree, depth_cap=3)
         assert mask == spatial.tree_shape_mask(
             DecompTree(nodes=tree.nodes, fanout=tree.fanout), depth_cap=3
         )
