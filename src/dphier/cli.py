@@ -63,9 +63,11 @@ def _config_kind(opt: click.Option) -> tuple:
 
 
 def _apply_config(config_path, values: dict) -> dict:
-    """Overlay a JSON config onto flag values; config entries win.  A value
-    must have its option's JSON type, be one of its choices, and may be null
-    only where the option is optional with a default of None."""
+    """Overlay a JSON config onto flag values; config entries win.  A key is
+    the option's Python parameter name (``lam`` for ``--lambda``, ``fmt`` for
+    ``--format``), where ``-`` may stand for ``_``.  A value must have its
+    option's JSON type, be one of its choices, and may be null only where the
+    option is optional with a default of None."""
     if config_path is None:
         return values
     try:
@@ -79,7 +81,10 @@ def _apply_config(config_path, values: dict) -> dict:
     for key, val in doc.items():
         norm = key.replace("-", "_")
         if norm not in values:
-            raise ParameterError(f"{config_path}: unknown config key {key!r}")
+            raise ParameterError(
+                f"{config_path}: unknown config key {key!r}; the keys are the parameter "
+                f"names {', '.join(sorted(values))}"
+            )
         opt = options[norm]
         if val is None:
             if opt.default is not None or opt.required:

@@ -18,9 +18,12 @@ from .errors import InputDataError, ParameterError
 __all__ = [
     "DEFAULT_DEPTH_CAP",
     "PrivacyParams",
+    "SplitMask",
+    "bfs_relabel",
     "biased_count",
     "biased_split",
     "check_tree_links",
+    "child_sums",
     "compose_budgets",
     "float_texts",
     "grow_levels",
@@ -233,9 +236,10 @@ def biased_split(score, depth: int, params: PrivacyParams, rng, eligible, noisel
     return split
 
 
-def grow_levels(n_items: int, fanout: int, decide, child_codes) -> None:
+def grow_levels(n_items: int, fanout: int, decide, child_codes) -> list:
     """Walk a tree level by level, in BFS order, with ``n_items`` items
-    (points, sequence positions) that all start at the root.
+    (points, sequence positions) that all start at the root, and return the
+    split mask of every level, the last one without a split.
 
     Items never move: ``items`` holds the ids still in play, in id order, and
     ``node`` each one's node index on the current level.
@@ -249,18 +253,88 @@ def grow_levels(n_items: int, fanout: int, decide, child_codes) -> None:
     """
     items = np.arange(n_items)
     node = np.zeros(n_items, dtype=np.intp)
-    n_nodes, depth = 1, 0
+    n_nodes, depth, masks = 1, 0, []
     while True:
         sizes = np.bincount(node, minlength=n_nodes)
         split = np.asarray(decide(depth, sizes, items, node), dtype=bool)
+        masks.append(split)
         if not split.any():
-            return
+            return masks
         keep = split[node]
         items, node = items[keep], node[keep]
         parent = (np.cumsum(split) - 1)[node]
         node = child_codes(depth, items, parent) + parent * fanout
         n_nodes = np.count_nonzero(split) * fanout
         depth += 1
+
+
+def child_sums(values, fanout: int) -> np.ndarray:
+    """Sum of each block of ``fanout`` consecutive entries (rows) of
+    ``values``, added one at a time, in order, starting from 0.0: the
+    arithmetic of ``sum(block)``, so results are bit-identical to it."""
+    # accumulate adds strictly left to right from the first entry, not 0.0,
+    # which only turns sum()'s +0.0 into -0.0; the trailing + 0.0 undoes it
+    blocks = values.reshape(-1, fanout, *values.shape[1:])
+    return np.add.accumulate(blocks, axis=1)[:, -1] + 0.0
+
+
+class SplitMask:
+    """A tree numbered in BFS order, as ``split[i]``: node ``i`` splits into
+    ``fanout`` children.  The s-th splitting node (``rank`` s) has the
+    children ``1 + s * fanout + code``, ``code`` in ``[0, fanout)``; so level
+    ``k`` holds the ids ``bounds[k]`` to ``bounds[k + 1] - 1``, node ``i``
+    lies on level ``depth[i]``, and row s of ``kids`` holds the s-th
+    splitting node's children in child order."""
+
+    def __init__(self, split, fanout: int):
+        split = np.asarray(split, dtype=bool)
+        bounds = [0, 1]
+        while bounds[-1] > bounds[-2]:
+            a, b = bounds[-2:]
+            bounds.append(b + fanout * int(np.count_nonzero(split[a:b])))
+        bounds.pop()
+        if bounds[-1] != split.size:
+            raise ParameterError(f"a split mask of {split.size} nodes implies {bounds[-1]}")
+        self.split, self.fanout, self.bounds = split, int(fanout), bounds
+        self.rank = np.cumsum(split) - 1
+        self.depth = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        self.kids = np.arange(1, split.size).reshape(-1, fanout)
+
+    def children(self, parents) -> np.ndarray:
+        """The children of the splitting nodes ``parents``, in child order."""
+        return self.kids.take(self.rank.take(parents), axis=0).ravel()
+
+    def fold(self, values) -> np.ndarray:
+        """``values`` (an entry or row per node), with each splitting node's the
+        :func:`child_sums` of its children's, deepest level first."""
+        out = np.array(values, dtype=np.float64)
+        b = self.bounds
+        for k in range(len(b) - 3, -1, -1):
+            inner = b[k] + np.flatnonzero(self.split[b[k] : b[k + 1]])
+            out[inner] = child_sums(out[b[k + 1] : b[k + 2]], self.fanout)
+        return out
+
+
+def bfs_relabel(root: int, n_kids, kids, fanout: int, name: str):
+    """(order, split): the id of each node in BFS order, and the tree's
+    :class:`SplitMask` mask.  Node ``i`` has the ``n_kids[i]`` children that
+    ``kids`` lists node after node, in child order, and the links form one
+    tree under ``root``; InputDataError if some ``n_kids`` is not 0 or
+    ``fanout``, naming the ``name``'s fanout."""
+    wrong = np.flatnonzero((n_kids > 0) & (n_kids != fanout))
+    if wrong.size:
+        nid = int(wrong[0])
+        raise InputDataError(
+            f"node {nid} has {n_kids[nid]} children, but the {name}'s fanout is {fanout}"
+        )
+    inner, kids = n_kids > 0, kids.reshape(-1, fanout)
+    rank = np.cumsum(inner) - 1
+    level, order, split = np.array([root]), [], []
+    while level.size:
+        order.append(level)
+        split.append(inner[level])
+        level = kids[rank[level[split[-1]]]].ravel()
+    return np.concatenate(order), np.concatenate(split)
 
 
 def float_texts(values) -> np.ndarray:

@@ -26,6 +26,7 @@ the per-record tuples ``sequences`` and ``open_ended`` are made on request.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import json
 import math
@@ -37,8 +38,9 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, biased_split, check_tree_links, float_texts
-from .dp_core import grow_levels, json_value, privtree_params, read_json, sample_laplace
+from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, SplitMask, bfs_relabel
+from .dp_core import biased_split, check_tree_links, float_texts, grow_levels, json_value
+from .dp_core import privtree_params, read_json, sample_laplace
 from .errors import GenerationError, InputDataError, ParameterError
 
 __all__ = [
@@ -292,32 +294,44 @@ class PstNode:
 
 
 class Pst:
-    """A released PST, stored as columns indexed by node id: ``preds[i]`` is
-    node ``i``'s predictor, ``child[i, s]`` the id of its child that prepends
-    symbol id ``s`` (-1 if none) and ``hist[i]`` its next-symbol histogram by
-    symbol id (``hist`` is None for a PST without histograms).
-    ``Pst(nodes=...)`` converts :class:`PstNode` values once, without checking
-    them: node ``i`` is ``nodes[i]`` whatever its ``id``, and unless every
-    value has a ``hist`` the PST has none.  ``node(i)`` and ``nodes`` build
-    values whose ``hist`` is a row view of the matrix.  ``_reader`` caches the
-    context automaton."""
+    """A released PST: its BFS split mask ``split``, held as the
+    :class:`dphier.dp_core.SplitMask` ``_shape`` with child order START, then
+    the symbols by id, and ``hist``, row ``i`` node ``i``'s next-symbol
+    histogram by symbol id (None for a PST without histograms).  Derived from
+    the mask: ``child[i, s]``, node ``i``'s child that prepends symbol id
+    ``s`` (-1 if none), and on first use ``preds[i]``, its predictor.
+    ``nodes`` given as :class:`PstNode` values are read by
+    :func:`pst_from_json_dict` from the document a file holding them would
+    be.  ``node(i)`` and ``nodes`` build values whose ``hist`` is a row view
+    of the matrix.  ``_reader`` caches the context automaton."""
 
-    def __init__(self, alphabet: Alphabet, l_max: int, *, nodes=None, preds=None,
-                 child=None, hist=None, params: PrivacyParams | None = None,
-                 params_info: dict | None = None, root: int = 0):
+    def __init__(self, alphabet: Alphabet, l_max: int, *, nodes=None, split=None, hist=None,
+                 params: PrivacyParams | None = None, params_info: dict | None = None):
         _check_l_max(l_max)
         if nodes is not None:
-            preds = [v.predictor for v in nodes]
-            child = np.full((len(nodes), alphabet.size + 2), -1, dtype=np.int64)
-            for i, v in enumerate(nodes):
-                child[i, list(v.children)] = list(v.children.values())
-            if all(v.hist is not None for v in nodes):
-                hist = np.array([v.hist for v in nodes], dtype=np.float64)
-        self.preds, self.child, self.hist = preds, child, hist
-        self.alphabet, self.l_max = alphabet, int(l_max)
-        self.params, self.root = params, root
+            pst = pst_from_json_dict(_node_document(alphabet, int(l_max), nodes, params_info))
+            split, hist = pst.split, pst.hist
+        self._syms = (START_ID, *alphabet.symbol_ids)  # child code c prepends _syms[c]
+        self._shape = SplitMask(split, len(self._syms))
+        self.split, n = self._shape.split, self._shape.split.size
+        self.child = np.full((n, alphabet.size + 2), -1, dtype=np.int64)
+        self.child[np.ix_(self.split, self._syms)] = self._shape.kids
+        self.hist, self.alphabet, self.l_max, self.params = hist, alphabet, int(l_max), params
         self.params_info = {} if params_info is None else params_info
         self._reader: _ContextAutomaton | None = None
+
+    @property
+    def root(self) -> int:
+        return 0
+
+    @functools.cached_property
+    def preds(self) -> list:
+        preds, heads = [()] * self.split.size, [(sym,) for sym in self._syms]
+        for nid, kids in zip(np.flatnonzero(self.split).tolist(), self._shape.kids.tolist()):
+            pred = preds[nid]
+            for head, kid in zip(heads, kids):
+                preds[kid] = head + pred
+        return preds
 
     def node(self, nid: int) -> PstNode:
         children = {sym: c for sym, c in enumerate(self.child[nid].tolist()) if c >= 0}
@@ -326,7 +340,7 @@ class Pst:
 
     @property
     def nodes(self) -> list:
-        return [self.node(i) for i in range(len(self.preds))]
+        return [self.node(i) for i in range(self.split.size)]
 
     def to_json_dict(self) -> dict:
         """The release document as a dict, read back from :meth:`dumps`."""
@@ -341,14 +355,14 @@ class Pst:
         token = (START_TOKEN, END_TOKEN, *self.alphabet.symbols)
         quoted = [encode_basestring_ascii(t) for t in token]
         by_token = sorted(range(len(token)), key=token.__getitem__)  # symbol ids
-        n = len(self.preds)
-        rows, cols = np.nonzero(self.child[:, by_token] >= 0)
-        syms = np.array(by_token, dtype=np.int64)[cols]
-        kids = self.child[rows, syms].tolist()
-        links = [f"{quoted[s]}: {c}" for s, c in zip(syms.tolist(), kids)]
-        first = np.searchsorted(rows, np.arange(n + 1)).tolist()
+        n, listed = self.split.size, [sym for sym in by_token if sym != END_ID]
+        # the s-th internal node's children in token order; child code s - 1 for id s, 0 for START
+        kids = self._shape.kids[:, np.maximum(np.array(listed) - 1, 0)]
         slots = np.empty((n, 3 if self.hist is None else len(token) + 2), dtype=object)
-        slots[:, 0] = [", ".join(links[a:b]) for a, b in zip(first, first[1:])]
+        slots[:, 0] = ""
+        slots[self.split, 0] = [
+            ", ".join([f"{quoted[s]}: {c}" for s, c in zip(listed, row)]) for row in kids.tolist()
+        ]
         slots[:, -2] = range(n)
         slots[:, -1] = [", ".join([quoted[t] for t in pred]) for pred in self.preds]
         hist = ""
@@ -372,10 +386,28 @@ class Pst:
             fh.write("\n")
 
 
+def _node_document(alphabet: Alphabet, l_max: int, nodes, params_info) -> dict:
+    """The PST document of a list of :class:`PstNode` values, ids and counts
+    (NumPy values too) made the JSON values a file would hold; a histogram's
+    START count is written only when it is not 0, which the reader refuses."""
+    tokens, entries = (START_TOKEN, END_TOKEN, *alphabet.symbols), []
+    for v in nodes:
+        children = {alphabet.token_of(s): np.asarray(c).tolist() for s, c in v.children.items()}
+        entries.append({"id": np.asarray(v.id).tolist(), "children": children,
+                        "predictor": [alphabet.token_of(s) for s in v.predictor]})
+        if v.hist is not None:
+            counts = zip(tokens, np.asarray(v.hist, dtype=np.float64).tolist(), strict=True)
+            entries[-1]["hist"] = {t: c for t, c in counts if t != START_TOKEN or c != 0.0}
+    return {"alphabet": list(alphabet.symbols), "l_max": l_max, "params": params_info or {},
+            "nodes": entries}
+
+
 def pst_from_json_dict(doc: dict) -> Pst:
-    """A PST from its document, read entry by entry into columns, so the
-    first defect in document order, such as a value of the wrong JSON type,
-    names the error."""
+    """A PST from its document, read entry by entry, so the first defect in
+    document order, such as a value of the wrong JSON type, names the error.
+    The links must form one tree, each child's predictor its parent's with
+    its symbol prepended, and each internal node has one child per symbol and
+    START; the ids are then relabelled to BFS order (a writer's already are)."""
     try:
         tokens = json_value(doc["alphabet"], list, "alphabet")
         alphabet = Alphabet(tuple(json_value(t, str, "token") for t in tokens))
@@ -405,6 +437,8 @@ def pst_from_json_dict(doc: dict) -> Pst:
                     for tok, cid in entry["children"].items()]
             if any(not 0 <= cid < size for _, _, cid in kids):
                 raise InputDataError(f"node {nid} references an unknown child id")
+            if END_TOKEN in entry["children"]:
+                raise InputDataError(f"node {nid} has a child under the end marker {END_TOKEN!r}")
             links[nid] = kids  # (parent, symbol, child)
             predictor = json_value(entry["predictor"], list, "predictor")
             preds[nid] = tuple(map(alphabet.id_of, predictor))
@@ -425,11 +459,12 @@ def pst_from_json_dict(doc: dict) -> Pst:
     extends = [preds[c] == (s,) + preds[p] for p, s, c in links]
     parents, syms, kids = np.array(links, dtype=np.int64).reshape(-1, 3).T
     check_tree_links(size, root, parents, kids, extends)
-    child = np.full((size, alphabet.size + 2), -1, dtype=np.int64)
-    child[parents, syms] = kids
-    hist = None if bare else np.array(rows, dtype=np.float64)
-    return Pst(alphabet, l_max, preds=preds, child=child, hist=hist,
-               params_info=dict(params_info), root=root)
+    n_kids = np.bincount(parents, minlength=size)
+    table = np.empty((size, alphabet.fanout), dtype=np.int64)
+    table[parents, np.maximum(syms - 1, 0)] = kids  # child code 0 for START, s - 1 for id s
+    order, split = bfs_relabel(root, n_kids, table[n_kids > 0], alphabet.fanout, "PST")
+    hist = None if bare else np.array(rows, dtype=np.float64)[order]
+    return Pst(alphabet, l_max, split=split, hist=hist, params_info=dict(params_info))
 
 
 def load_pst(path) -> Pst:
@@ -511,33 +546,26 @@ def build_private_pst(
     params = privtree_params(eps_tree, beta, theta, sensitivity=float(data.l_max))
 
     width = data.alphabet.size + 2
-    kids = (START_ID, *data.alphabet.symbol_ids)
     symbols, positions = _positions(data)
     next_sym = symbols[positions + 1]
-    preds, hist, levels = [()], [], []  # hist: exact, until noised below
+    hist = []  # exact, until noised below
 
     def decide(depth, sizes, items, node):
-        first = len(preds) - sizes.size
         hists = np.bincount(
             node * width + next_sym[items], minlength=sizes.size * width
         ).reshape(sizes.size, width).astype(np.float64)
-        eligible = np.array([p[:1] != (START_ID,) for p in preds[first:]]) & (depth < depth_cap)
-        split = biased_split(pst_score(hists), depth, params, rng, eligible, noiseless)
         hist.append(hists)
-        levels.append((first, split))
-        preds.extend((sym,) + p for p, s in zip(preds[first:], split) if s for sym in kids)
-        return split
+        # below the root, a node's predictor starts with its own child code's
+        # symbol, and code 0 (the start marker) never splits
+        eligible = (np.arange(sizes.size) % beta != 0) | (depth == 0)
+        return biased_split(pst_score(hists), depth, params, rng, eligible & (depth < depth_cap),
+                            noiseless)
 
     def child_codes(depth, items, parent):
         # child order is (START, symbols...): START -> 0, symbol id s -> s - 1
         return np.maximum(symbols[positions[items] - depth] - 1, 0)
 
-    grow_levels(positions.size, beta, decide, child_codes)
-
-    # BFS ids: the s-th splitting node's children are 1 + s*b ... s*b + b, START first
-    split = np.concatenate([s for _, s in levels])
-    child = np.full((len(preds), width), -1, dtype=np.int64)
-    child[np.ix_(split, kids)] = np.arange(1, len(preds)).reshape(-1, beta)
+    split = np.concatenate(grow_levels(positions.size, beta, decide, child_codes))
     hist = np.concatenate(hist)
     if not noiseless:
         hist[~split, 1:] += sample_laplace(
@@ -545,15 +573,13 @@ def build_private_pst(
         )
     # internal histograms are their children's sums, deepest level first;
     # negatives are zeroed afterwards so the sums themselves stay unbiased
-    for first, level_split in reversed(levels):
-        inner = first + np.flatnonzero(level_split)
-        hist[inner] = sum(hist[c] for c in child[inner][:, kids].T)
+    hist = SplitMask(split, beta).fold(hist)
     np.maximum(hist, 0.0, out=hist)
 
     info = {"epsilon": float(epsilon), "lambda": params.lam, "theta": params.theta,
             "delta": params.delta}
-    return Pst(data.alphabet, data.l_max, preds=preds, child=child, hist=hist,
-               params=params, params_info=info)
+    return Pst(data.alphabet, data.l_max, split=split, hist=hist, params=params,
+               params_info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +598,7 @@ def _to_ids(pst: Pst, tokens):
 
 
 def _deepest_suffix_node(pst: Pst, context_ids) -> int:
-    nid = pst.root
+    nid = 0
     for sym in reversed(context_ids):
         nxt = pst.child.item(nid, sym)
         if nxt < 0:
@@ -611,19 +637,8 @@ class _ContextAutomaton:
 
     def __init__(self, pst: Pst):
         self._pst = pst
-        table = pst.child.tolist()
-        self._prefixes = {()}
-        stack, reached = [(pst.root, ())], 0
-        while stack:
-            nid, string = stack.pop()
-            reached += 1
-            if reached > len(table):
-                raise InputDataError("PST child links do not form a tree")
-            for sym, child in enumerate(table[nid]):
-                if child >= 0:
-                    longer = (sym,) + string
-                    self._prefixes.update(longer[:i] for i in range(1, len(longer) + 1))
-                    stack.append((child, longer))
+        # a node's string is its predictor
+        self._prefixes = {pred[:i] for pred in pst.preds for i in range(len(pred) + 1)}
         self._cols = (END_ID, *pst.alphabet.symbol_ids)
         self.states = {}  # context string -> _State
         self.empty = self._state(())
@@ -705,7 +720,7 @@ def estimate_string_count(pst: Pst, s_q) -> float:
         raise ParameterError("the end marker may only terminate a query string")
     reader = _automaton(pst)
     state = reader.empty
-    ans = float(pst.hist[pst.root, ids[0]])
+    ans = float(pst.hist[0, ids[0]])
     for i in range(1, len(ids)):
         if ans == 0.0:
             return 0.0
@@ -729,7 +744,7 @@ def top_k_strings(pst: Pst, k: int):
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ParameterError(f"k must be an integer >= 1, got {k!r}")
     reader = _automaton(pst)
-    root_hist = pst.hist[pst.root].tolist()
+    root_hist = pst.hist[0].tolist()
     # an entry carries the state of its string without the last symbol
     heap = [(-root_hist[sym], 1, (sym,), reader.empty) for sym in pst.alphabet.symbol_ids]
     heapify(heap)
@@ -764,7 +779,7 @@ def generate_sequences(pst: Pst, count: int, rng: np.random.Generator):
         raise ParameterError(f"count must be a nonnegative integer, got {count!r}")
     if pst.hist is None:
         raise InputDataError("PST has no histograms attached")
-    if float(pst.hist[pst.root].sum()) <= 0.0:
+    if float(pst.hist[0].sum()) <= 0.0:
         raise GenerationError("root histogram is empty; nothing to sample")
     reader = _automaton(pst)
     start = reader.step(reader.empty, START_ID)

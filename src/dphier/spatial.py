@@ -26,8 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, biased_count, biased_split, check_tree_links
-from .dp_core import float_texts, grow_levels, json_value, laplace_sf, read_json, sample_laplace
+from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, SplitMask, bfs_relabel
+from .dp_core import biased_count, biased_split, check_tree_links, child_sums, float_texts
+from .dp_core import grow_levels, json_value, laplace_sf, read_json, sample_laplace
 from .errors import InputDataError, ParameterError
 
 __all__ = [
@@ -155,39 +156,36 @@ class DecompTree:
     ``params_info`` carries the four serialized keys (epsilon, lambda, theta,
     delta), with ``None`` where a builder has no such notion.
 
-    The nodes are stored as :class:`_Columns`, given as ``nodes`` or
-    converted once from a list of :class:`TreeNode` values (node ``i`` is
-    ``nodes[i]``), which is refused if a value carries an ``exact_count``.
-    Every internal node has exactly ``fanout`` children.  ``nodes``,
-    ``node(i)`` and ``leaves()`` make values on request; writing into one
-    does not change the tree.  ``_view`` caches what :func:`range_counts`
-    reads; code that changes counts must drop it, as
-    :func:`attach_noisy_counts` does.
+    The nodes are stored as :class:`_Columns` in BFS order, so the root is
+    node 0 and every internal node has ``fanout`` children.  ``nodes`` given
+    as :class:`TreeNode` values are refused if one carries an
+    ``exact_count``, else read by :func:`tree_from_json_dict` from the
+    document a file holding them would be.  ``nodes``, ``node(i)`` and
+    ``leaves()`` make values on request; writing into one does not change
+    the tree.  ``_view`` caches what :func:`range_counts` reads; code that
+    changes counts must drop it, as :func:`attach_noisy_counts` does.
     """
 
-    def __init__(self, nodes, fanout: int, params_info: dict | None = None, root: int = 0):
+    def __init__(self, nodes, fanout: int, params_info: dict | None = None):
         if not (isinstance(fanout, (int, np.integer)) and fanout >= 1):
             raise ParameterError(f"fanout must be an integer >= 1, got {fanout!r}")
         if not isinstance(nodes, _Columns):
             if any(v.exact_count is not None for v in nodes):
                 raise InputDataError("tree nodes carry exact counts; refusing to store them")
-            nodes = _node_columns(nodes)
-        n_kids = np.diff(nodes.first)
-        wrong = np.flatnonzero((n_kids > 0) & (n_kids != fanout))
-        if wrong.size:
-            nid = int(wrong[0])
-            raise InputDataError(
-                f"node {nid} has {n_kids[nid]} children, but the tree's fanout is {fanout}"
-            )
+            nodes = tree_from_json_dict(_node_document(nodes, int(fanout), params_info))._cols
         self._cols = nodes
         self.fanout = int(fanout)
+        self._shape = SplitMask(nodes.split, self.fanout)
         self.params_info = {} if params_info is None else params_info
-        self.root = root
         self._view: _TreeArrays | _Grid | None = None
 
     @property
+    def root(self) -> int:
+        return 0
+
+    @property
     def nodes(self) -> list:
-        return _column_nodes(self._cols, np.arange(self.n_nodes))
+        return _column_nodes(self._cols, self._shape, np.arange(self.n_nodes))
 
     @property
     def dims(self) -> int:
@@ -196,21 +194,21 @@ class DecompTree:
     @property
     def domain(self) -> SpatialDomain:
         """The root's region."""
-        return SpatialDomain(self._cols.lo[self.root], self._cols.hi[self.root])
+        return SpatialDomain(self._cols.lo[0], self._cols.hi[0])
 
     @property
     def n_nodes(self) -> int:
-        return self._cols.depth.size
+        return self._cols.split.size
 
     @property
     def n_leaves(self) -> int:
-        return int(np.count_nonzero(np.diff(self._cols.first) == 0))
+        return int(np.count_nonzero(~self._cols.split))
 
     def node(self, nid: int) -> TreeNode:
-        return _column_nodes(self._cols, np.array([nid]))[0]
+        return _column_nodes(self._cols, self._shape, np.array([nid]))[0]
 
     def leaves(self):
-        return _column_nodes(self._cols, np.flatnonzero(np.diff(self._cols.first) == 0))
+        return _column_nodes(self._cols, self._shape, np.flatnonzero(~self._cols.split))
 
     def to_json_dict(self) -> dict:
         """The release document as a dict, read back from :meth:`dumps`."""
@@ -222,7 +220,7 @@ class DecompTree:
         "lo", "noisy_count"?}]}``, written row by row from the columns; it
         defines the format."""
         cols = self._cols
-        n = cols.depth.size
+        n = cols.split.size
         d = cols.lo.size // n if n else 0
         coords = ", ".join(["%s"] * d)
         row = (
@@ -230,9 +228,9 @@ class DecompTree:
             + '], "id": %s, "lo": [' + coords + "]%s}"
         )
         slots = np.empty((n, 2 * d + 4), dtype=object)
-        kids, first = list(map(str, cols.kids.tolist())), cols.first.tolist()
-        slots[:, 0] = [", ".join(kids[a:b]) for a, b in zip(first, first[1:])]
-        slots[:, 1] = cols.depth.tolist()
+        slots[:, 0] = ""
+        slots[cols.split, 0] = [", ".join(map(str, row)) for row in self._shape.kids.tolist()]
+        slots[:, 1] = self._shape.depth.tolist()
         # children share their parent's faces, so hi and lo share one pass
         slots[:, np.r_[2 : d + 2, d + 3 : 2 * d + 3]] = float_texts(
             np.hstack([cols.hi.reshape(n, d), cols.lo.reshape(n, d)])
@@ -253,7 +251,7 @@ class DecompTree:
 
 def trees_equal(a: DecompTree, b: DecompTree) -> bool:
     """Exact structural equality (regions, depths, children, counts)."""
-    if a.fanout != b.fanout or a.root != b.root:
+    if a.fanout != b.fanout:
         return False
     # a missing count is stored as 0.0, so the count columns compare as a whole
     return all(map(np.array_equal, a._cols, b._cols))
@@ -265,54 +263,37 @@ def trees_equal(a: DecompTree, b: DecompTree) -> bool:
 
 
 class _Columns(NamedTuple):
-    """A tree as one array per node field, indexed by node id: ``depth``,
-    ``lo`` and ``hi`` (N x d), the children in CSR form (those of node ``i``
-    are ``kids[first[i]:first[i + 1]]``, in stored order), and ``count``,
-    which holds a node's noisy count where ``has_count`` is set and 0.0
-    elsewhere."""
+    """A tree as one array per node field, indexed by node id in BFS order:
+    ``lo`` and ``hi`` (N x d), the :class:`dphier.dp_core.SplitMask` mask
+    ``split``, which implies the depths and children, and ``count``, a
+    node's noisy count where ``has_count`` is set and 0.0 elsewhere."""
 
-    depth: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    first: np.ndarray
-    kids: np.ndarray
+    split: np.ndarray
     count: np.ndarray
     has_count: np.ndarray
 
 
-def _csr_first(n_kids: np.ndarray) -> np.ndarray:
-    first = np.zeros(n_kids.size + 1, dtype=np.int64)
-    np.cumsum(n_kids, out=first[1:])
-    return first
+def _node_document(nodes: list, fanout: int, params_info: dict | None) -> dict:
+    """The tree document of a list of :class:`TreeNode` values, each field
+    (NumPy values too) made the JSON value a file would hold."""
+    entries = [
+        {key: np.asarray(val).tolist() for key in _NODE_FIELDS
+         if (val := getattr(v, key)) is not None}
+        for v in nodes
+    ]
+    return {"fanout": fanout, "params": params_info or {}, "nodes": entries}
 
 
-def _node_columns(nodes: list) -> _Columns:
-    n = len(nodes)
-    first = _csr_first(np.fromiter((len(v.children) for v in nodes), np.int64, n))
-    has_count = np.fromiter((v.noisy_count is not None for v in nodes), bool, n)
-    return _Columns(
-        depth=np.fromiter((v.depth for v in nodes), np.int64, n),
-        lo=np.array([v.lo for v in nodes], dtype=np.float64),
-        hi=np.array([v.hi for v in nodes], dtype=np.float64),
-        first=first,
-        kids=np.fromiter((c for v in nodes for c in v.children), np.int64, int(first[-1])),
-        count=np.array([v.noisy_count if h else 0.0 for v, h in zip(nodes, has_count)]),
-        has_count=has_count,
-    )
-
-
-def _column_nodes(cols: _Columns, ids: np.ndarray) -> list:
+def _column_nodes(cols: _Columns, shape: SplitMask, ids: np.ndarray) -> list:
     """:class:`TreeNode` values of the nodes ``ids``, made from the columns."""
-    depth, lo, hi, count, has = (
-        c[ids].tolist() for c in (cols.depth, cols.lo, cols.hi, cols.count, cols.has_count)
-    )
-    bounds = cols.first[ids].tolist(), cols.first[ids + 1].tolist()
+    inner = ids[cols.split[ids]]
+    kids = dict(zip(inner.tolist(), shape.kids[shape.rank[inner]].tolist()))
+    fields = (shape.depth, cols.lo, cols.hi, cols.count, cols.has_count)
     return [
-        TreeNode(
-            id=nid, depth=depth[k], lo=tuple(lo[k]), hi=tuple(hi[k]),
-            children=cols.kids[a:b].tolist(), noisy_count=count[k] if has[k] else None,
-        )
-        for k, (nid, a, b) in enumerate(zip(ids.tolist(), *bounds))
+        TreeNode(nid, depth, tuple(lo), tuple(hi), kids.get(nid, []), c if has else None)
+        for nid, depth, lo, hi, c, has in zip(ids.tolist(), *(a[ids].tolist() for a in fields))
     ]
 
 
@@ -344,12 +325,12 @@ def _resolve_dims_per_level(data: SpatialDataset, dims_per_level):
     return int(dims_per_level)
 
 
-def _split_geometry(cols: _Columns, parents: np.ndarray, fanout: int):
+def _split_geometry(cols: _Columns, shape: SplitMask, parents: np.ndarray):
     """(mids, code weights) of each parent's split, read from its first child:
     the lower half along every dimension where its box differs from the
     parent's.  Codes carry one bit per split dimension, in ascending order."""
-    lo, hi = cols.lo[parents], cols.hi[parents]
-    first = cols.kids[cols.first[parents]]
+    lo, hi, fanout = cols.lo[parents], cols.hi[parents], shape.fanout
+    first = shape.kids[shape.rank[parents], 0]
     first_lo, first_hi = cols.lo[first], cols.hi[first]
     moved = (first_lo != lo) | (first_hi != hi)
     if (fanout != 1 << moved.sum(axis=1)).any() or (moved & (first_lo != lo)).any():
@@ -373,21 +354,23 @@ def _grow(data: SpatialDataset, dims_per_level: int, rule) -> _Columns:
     box has its midpoint strictly inside along every dimension split at
     their depth; the rule must split no other.  Child boxes are made a level
     at a time, by parent and then child code (bit j: the upper half along the
-    j-th split dimension); ids follow BFS order, so the child list is 1..N-1."""
+    j-th split dimension), so ids follow BFS order."""
     d = data.domain.dims
     fanout = 1 << dims_per_level
-    los, his, splits = [np.array([data.domain.lo])], [np.array([data.domain.hi])], []
+    los, his = [np.array([data.domain.lo])], [np.array([data.domain.hi])]
+    level_split = None
 
     def decide(depth, sizes, *_):
+        nonlocal level_split
         lo, hi = los[-1], his[-1]
         with np.errstate(over="ignore"):  # an infinite midpoint is not inside
             mid = (lo + hi) / 2.0
         inside = ((lo < mid) & (mid < hi))[:, list(_dims_for_level(depth, d, dims_per_level))]
-        splits.append(np.asarray(rule(depth, sizes, inside.all(axis=1)), dtype=bool))
-        return splits[-1]
+        level_split = np.asarray(rule(depth, sizes, inside.all(axis=1)), dtype=bool)
+        return level_split
 
     def child_codes(depth, items, parent):
-        lo, hi = los[-1][splits[-1]], his[-1][splits[-1]]
+        lo, hi = los[-1][level_split], his[-1][level_split]
         mid = (lo + hi) / 2.0
         dims = list(_dims_for_level(depth, d, dims_per_level))
         weights = np.zeros((1, d), dtype=np.int32)
@@ -398,14 +381,10 @@ def _grow(data: SpatialDataset, dims_per_level: int, rule) -> _Columns:
         his.append(np.where(lower, mid[:, None], hi[:, None]).reshape(-1, d))
         return _child_codes(data.points, items, parent, mid, np.broadcast_to(weights, lo.shape))
 
-    grow_levels(data.n, fanout, decide, child_codes)
-    split = np.concatenate(splits)
-    n = split.size
+    split = np.concatenate(grow_levels(data.n, fanout, decide, child_codes))
     return _Columns(
-        depth=np.repeat(np.arange(len(splits)), [s.size for s in splits]),
-        lo=np.concatenate(los), hi=np.concatenate(his),
-        first=_csr_first(split * fanout), kids=np.arange(1, n),
-        count=np.zeros(n), has_count=np.zeros(n, dtype=bool),
+        lo=np.concatenate(los), hi=np.concatenate(his), split=split,
+        count=np.zeros(split.size), has_count=np.zeros(split.size, dtype=bool),
     )
 
 
@@ -516,9 +495,8 @@ def build_ug(
     )
     cells = m**d
     cols = _Columns(
-        depth=np.repeat([0, 1], [1, cells]),
         lo=np.vstack([data.domain.lo, cell_lo]), hi=np.vstack([data.domain.hi, cell_hi]),
-        first=_csr_first(np.repeat([cells, 0], [1, cells])), kids=np.arange(1, cells + 1),
+        split=np.arange(cells + 1) == 0,
         count=np.append(0.0, noisy), has_count=np.arange(cells + 1) > 0,
     )
     info = {"epsilon": float(epsilon), "lambda": 1.0 / epsilon, "theta": None, "delta": None}
@@ -530,31 +508,25 @@ def build_ug(
 # ---------------------------------------------------------------------------
 
 
-def _leaf_exact_counts(tree: DecompTree, data: SpatialDataset) -> dict:
-    """Exact point count of every leaf, by id, from one level-by-level
+def _leaf_exact_counts(tree: DecompTree, data: SpatialDataset) -> np.ndarray:
+    """Exact point count of every leaf, in id order, from one level-by-level
     partition of the points down the tree."""
     if tree.domain != data.domain:
         raise InputDataError("tree domain does not match dataset domain")
-    cols = tree._cols
-    out = {}
-    level = np.array([tree.root])
+    cols, shape, bounds = tree._cols, tree._shape, tree._shape.bounds
+    sizes = np.zeros(cols.split.size, dtype=np.int64)
 
-    def decide(depth, sizes, *_):
-        nonlocal level
-        inner = cols.first[level + 1] > cols.first[level]
-        out.update(zip(level[~inner].tolist(), sizes[~inner].tolist()))
-        level = level[inner]
-        return inner
+    def decide(depth, level_sizes, *_):
+        sizes[bounds[depth] : bounds[depth + 1]] = level_sizes
+        return cols.split[bounds[depth] : bounds[depth + 1]]
 
     def child_codes(depth, items, parent):
-        # level holds the splitting parents here; advance it to their children
-        nonlocal level
-        mids, weights = _split_geometry(cols, level, tree.fanout)
-        level = _children(cols.first, cols.kids, tree.fanout, level)
+        a, b = bounds[depth], bounds[depth + 1]
+        mids, weights = _split_geometry(cols, shape, a + np.flatnonzero(cols.split[a:b]))
         return _child_codes(data.points, items, parent, mids, weights)
 
     grow_levels(data.n, tree.fanout, decide, child_codes)
-    return out
+    return sizes[~cols.split]
 
 
 def attach_noisy_counts(
@@ -577,14 +549,12 @@ def attach_noisy_counts(
         raise ParameterError(f"epsilon_counts must be positive, got {epsilon_counts!r}")
     if not noiseless and rng is None:
         raise ParameterError("rng is required unless noiseless=True")
-    counts = _leaf_exact_counts(tree, data)
-    ids = sorted(counts)
-    noisy = np.array([counts[nid] for nid in ids], dtype=np.float64)
+    noisy = _leaf_exact_counts(tree, data).astype(np.float64)
     if not noiseless:
         noisy += sample_laplace(1.0 / epsilon_counts, rng, size=noisy.size)
-    cols = tree._cols
+    cols, leaves = tree._cols, ~tree._cols.split
     count, has_count = cols.count.copy(), cols.has_count.copy()
-    count[ids], has_count[ids] = noisy, True
+    count[leaves], has_count[leaves] = noisy, True
     tree._cols = cols._replace(count=count, has_count=has_count)
     tree._view = None  # built from the old counts
     return tree
@@ -605,66 +575,35 @@ class _TreeArrays:
     query contains it (its own noisy count, or the sum of its leaves' counts
     when it carries none), and the box ``[lo, -hi]`` again for internal
     nodes but ``+inf`` for leaves (2d), against which a query can never cut
-    a leaf.  ``first`` and ``kids`` are the CSR children of
-    :class:`_Columns`, and ``fanout`` the number of children of every
-    internal node."""
+    a leaf.  ``shape`` is the tree's :class:`dphier.dp_core.SplitMask`."""
 
     table: np.ndarray
-    first: np.ndarray
-    kids: np.ndarray
-    fanout: int
+    shape: SplitMask
 
     @classmethod
-    def from_columns(cls, cols: _Columns, root: int, fanout: int) -> _TreeArrays:
+    def from_columns(cls, cols: _Columns, shape: SplitMask) -> _TreeArrays:
         lo, hi = cols.lo.T, cols.hi.T
         neg_width = lo - hi
         if not np.isfinite(neg_width).all():
             raise InputDataError("every region must have a finite width")
-        count = _column_sums(cols, root, fanout)
-        n_kids = np.diff(cols.first)
-        own = (n_kids > 0) & cols.has_count
+        count = _column_sums(cols, shape)
+        own = cols.split & cols.has_count
         count[own] = cols.count[own]
         box = np.vstack([lo, -hi])
-        inner_box = np.where(n_kids > 0, box, np.inf)
+        inner_box = np.where(cols.split, box, np.inf)
         # take() copies a non-contiguous source on every call
         table = np.ascontiguousarray(np.vstack([box, neg_width, count, inner_box]))
-        return cls(table, cols.first, cols.kids, fanout)
+        return cls(table, shape)
 
 
-def _children(first, kids, fanout, parents):
-    """Children of the internal nodes ``parents`` (repeats allowed) as one
-    array, each parent's ``fanout`` children in stored order."""
-    return kids.reshape(-1, fanout).take(first.take(parents) // fanout, axis=0).ravel()
-
-
-def _fold(values, fanout):
-    """Sum each of the consecutive blocks of ``fanout`` entries of ``values``
-    by adding its entries one at a time, in order, starting from 0.0: the
-    arithmetic of ``sum(block)``, so results are bit-identical to it."""
-    # accumulate adds strictly left to right; it starts from the first entry,
-    # not 0.0, which only turns sum()'s +0.0 into -0.0, and the trailing
-    # + 0.0 turns it back
-    return np.add.accumulate(values.reshape(-1, fanout), axis=1)[:, -1] + 0.0
-
-
-def _column_sums(cols: _Columns, root: int, fanout: int) -> np.ndarray:
+def _column_sums(cols: _Columns, shape: SplitMask) -> np.ndarray:
     """Sum of the leaves' noisy counts under every node, indexed by node id;
-    an internal node adds its children one at a time, in stored order."""
-    first, kids = cols.first, cols.kids
-    if not cols.has_count[first[1:] == first[:-1]].all():
+    an internal node adds its children one at a time, in child order."""
+    if not cols.has_count[~cols.split].all():
         raise InputDataError(
             "tree has no noisy counts attached; run attach_noisy_counts first"
         )
-    sums = cols.count.copy()
-    levels = []
-    level = np.array([root])
-    while level.size:
-        inner = level[first[level + 1] > first[level]]
-        level = _children(first, kids, fanout, inner)
-        levels.append((inner, level))
-    for inner, children in reversed(levels):
-        sums[inner] = _fold(sums[children], fanout)
-    return sums
+    return shape.fold(cols.count)
 
 
 # (query, node) pairs that one block of queries may create across its levels
@@ -672,7 +611,7 @@ def _column_sums(cols: _Columns, root: int, fanout: int) -> np.ndarray:
 _PAIR_BUDGET = 1 << 16
 
 
-def _answer_block(view: _TreeArrays, qbox, root: int, budget):
+def _answer_block(view: _TreeArrays, qbox, budget):
     """Answers of the queries ``qbox`` (2d x Q: lower bounds stacked on
     negated upper bounds) by a level-synchronous walk, or None once more
     than ``budget`` (query, node) pairs exist.
@@ -681,13 +620,14 @@ def _answer_block(view: _TreeArrays, qbox, root: int, budget):
     node's count, a partially covered leaf adds its count times the covered
     volume fraction (a product over dimensions in order), and a partially
     covered internal node is replaced by the sum of its children's answers,
-    folded bottom-up in stored child order.  Negating the upper bounds lets
+    folded bottom-up in child order.  Negating the upper bounds lets
     one ``maximum`` clip both faces and one ``>`` find where the query cuts
     the region.  Negation is exact, so every overlap, fraction and
     comparison equals its scalar counterpart bit for bit; a contained
     region's fraction is exactly 1, since its overlap is its width."""
     d = qbox.shape[0] // 2
-    query, ni = qbox, np.full(qbox.shape[1], root)
+    shape = view.shape
+    query, ni = qbox, np.zeros(qbox.shape[1], dtype=np.intp)
     held = ni.size
     levels = []
     while ni.size:
@@ -701,15 +641,15 @@ def _answer_block(view: _TreeArrays, qbox, root: int, budget):
         partial = (hit & cut).nonzero()[0]
         parents = ni.take(partial)
         if budget is not None:
-            held += parents.size * view.fanout
+            held += parents.size * shape.fanout
             if held > budget:
                 return None
-        ni = _children(view.first, view.kids, view.fanout, parents)
-        query = np.repeat(query.take(partial, axis=1), view.fanout, axis=1)
+        ni = shape.children(parents)
+        query = np.repeat(query.take(partial, axis=1), shape.fanout, axis=1)
         levels.append((value, partial))
     below = np.empty(0)
     for value, partial in reversed(levels):
-        value[partial] = _fold(below, view.fanout)
+        value[partial] = child_sums(below, shape.fanout)
         below = value
     return below
 
@@ -754,9 +694,9 @@ def range_counts(tree: DecompTree, queries) -> np.ndarray:
     if not queries:
         return out
     if tree._view is None:
-        tree._view = _detect_grid(tree._cols, tree.root, tree.fanout)
+        tree._view = _detect_grid(tree._cols, tree.fanout)
         if tree._view is None:
-            tree._view = _TreeArrays.from_columns(tree._cols, tree.root, tree.fanout)
+            tree._view = _TreeArrays.from_columns(tree._cols, tree._shape)
     view = tree._view
     if isinstance(view, _Grid):
         return np.array([_grid_range_count(view, q) for q in queries])
@@ -767,7 +707,7 @@ def range_counts(tree: DecompTree, queries) -> np.ndarray:
         while start < len(queries):
             stop = min(start + block, len(queries))
             got = _answer_block(
-                view, np.ascontiguousarray(qbox[:, start:stop]), tree.root,
+                view, np.ascontiguousarray(qbox[:, start:stop]),
                 _PAIR_BUDGET if stop - start > 1 else None,
             )
             if got is None:
@@ -792,10 +732,12 @@ _NODE_FIELDS = ("id", "depth", "lo", "hi", "children", "noisy_count")
 
 
 def _document_columns(raw: list):
-    """(columns, root) of a tree document's node entries, read a field at a
-    time once their JSON types are checked, and put in id order; the root is
-    the last depth-0 entry in document order.  A document with any defect
-    goes to :func:`_raise_first_defect`, which names it."""
+    """(values, at, depth, n_kids, kids, root) of a tree document's node
+    entries, read a field at a time once their JSON types are checked:
+    ``values``, the columns lo, hi, count and has_count in document order;
+    ``at``, each id's document position; ``depth``, ``n_kids`` and ``kids``
+    (each node's listed children in turn) in id order; and the root, the
+    last depth-0 entry.  A defect goes to :func:`_raise_first_defect`."""
     n = len(raw)
     try:
         ids, depth, lo, hi, lists = ([e[key] for e in raw] for key in _NODE_FIELDS[:5])
@@ -814,11 +756,11 @@ def _document_columns(raw: list):
         if not (dims and (sizes == dims).all() and all((v >= 0).all() and (v < n).all()
                                                        for v in (ids, depth, kids))):
             raise ValueError("a value out of range")
-        order = np.full(n, -1)
-        order[ids] = np.arange(n)  # the document position of each id
+        at = np.full(n, -1)
+        at[ids] = np.arange(n)
         lo, hi = lo.reshape(n, dims), hi.reshape(n, dims)
         zero = np.flatnonzero(depth == 0)
-        if not ((order >= 0).all() and zero.size and np.isfinite(values).all()
+        if not ((at >= 0).all() and zero.size and np.isfinite(values).all()
                 and np.isfinite(lo).all() and np.isfinite(hi).all() and (lo < hi).all()):
             raise ValueError("a failing check")
     except (KeyError, TypeError, ValueError, OverflowError):
@@ -827,8 +769,7 @@ def _document_columns(raw: list):
     count = np.zeros(n)
     count[has_count] = values
     kids = kids[np.argsort(np.repeat(ids, n_kids), kind="stable")]  # by parent id
-    return _Columns(depth[order], lo[order], hi[order], _csr_first(n_kids[order]), kids,
-                    count[order], has_count[order]), int(ids[zero[-1]])
+    return (lo, hi, count, has_count), at, depth[at], n_kids[at], kids, int(ids[zero[-1]])
 
 
 def _raise_first_defect(raw: list):
@@ -875,8 +816,9 @@ def _raise_first_defect(raw: list):
 
 
 def tree_from_json_dict(doc: dict) -> DecompTree:
-    """A tree from its document, stored as columns; :class:`DecompTree`
-    checks that every internal node has ``fanout`` children."""
+    """A tree from its document, whose links form one tree, each child one
+    level below its parent and each internal node with ``fanout`` children;
+    ids are relabelled to BFS order, children in listed order (a writer's are)."""
     try:
         fanout, params_info, raw_nodes = (
             json_value(doc[key], kind, key)
@@ -886,13 +828,12 @@ def tree_from_json_dict(doc: dict) -> DecompTree:
             raise ValueError(f"fanout {fanout} is below 1")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"malformed tree document: {exc}") from exc
-    cols, root = _document_columns(raw_nodes)
-    parents = np.repeat(np.arange(len(raw_nodes)), np.diff(cols.first))
-    check_tree_links(
-        len(raw_nodes), root, parents, cols.kids,
-        cols.depth[cols.kids] == cols.depth[parents] + 1,
-    )
-    return DecompTree(cols, fanout, dict(params_info), root)
+    values, at, depth, n_kids, kids, root = _document_columns(raw_nodes)
+    parents = np.repeat(np.arange(len(raw_nodes)), n_kids)
+    check_tree_links(len(raw_nodes), root, parents, kids, depth[kids] == depth[parents] + 1)
+    order, split = bfs_relabel(root, n_kids, kids, fanout, "tree")
+    lo, hi, count, has_count = (v[at[order]] for v in values)
+    return DecompTree(_Columns(lo, hi, split, count, has_count), fanout, dict(params_info))
 
 
 def load_tree(path) -> DecompTree:
@@ -911,26 +852,19 @@ def _grid_cells(lo, hi, m: int):
     return edges, cell_lo, cell_hi
 
 
-def _detect_grid(cols: _Columns, root: int, fanout: int) -> _Grid | None:
+def _detect_grid(cols: _Columns, fanout: int) -> _Grid | None:
     """The view of a uniform grid, else None: a root whose ``fanout == m**d``
     children, all leaves with counts, are the only other nodes and are the
     cells of :func:`_grid_cells` over the root, in C order."""
-    kids = cols.kids[cols.first[root] : cols.first[root + 1]]
-    if not kids.size or cols.depth.size != fanout + 1:
-        return None
     d = cols.lo.shape[1]
     m = round(fanout ** (1.0 / d))
-    if m**d != fanout:
+    if not cols.split[0] or cols.split.size != fanout + 1 or m**d != fanout:
         return None
-    edges, cell_lo, cell_hi = _grid_cells(cols.lo[root], cols.hi[root], m)
-    if not (
-        cols.has_count[kids].all()
-        and (cols.first[kids + 1] == cols.first[kids]).all()
-        and (cols.lo[kids] == cell_lo).all()
-        and (cols.hi[kids] == cell_hi).all()
-    ):
+    edges, cell_lo, cell_hi = _grid_cells(cols.lo[0], cols.hi[0], m)
+    cells = (cols.lo[1:] == cell_lo).all() and (cols.hi[1:] == cell_hi).all()
+    if not (cells and cols.has_count[1:].all()):
         return None
-    return _Grid(edges, cols.count[kids].reshape((m,) * d))
+    return _Grid(edges, cols.count[1:].reshape((m,) * d))
 
 
 def _parse_csv_floats(path, expected_fields=None):
@@ -1109,21 +1043,16 @@ def tree_shape_mask(
     if dims_per_level is None:
         dims_per_level = tree.dims
     fanout = 1 << dims_per_level
-    cols = tree._cols
-    first, kids, depth = cols.first.tolist(), cols.kids.tolist(), cols.depth.tolist()
-    mask = 0
-    pairs = [(0, tree.root)]
-    while pairs:
-        ci, nid = pairs.pop()
-        children = kids[first[nid] : first[nid + 1]]
-        if not children:
-            continue
-        mask |= 1 << ci
-        if depth[nid] < depth_cap - 1:
-            if len(children) != fanout:
-                raise InputDataError("tree fanout does not match candidate enumeration")
-            # BFS numbering of the complete tree: candidate i's children
-            pairs.extend((ci * fanout + 1 + c, cid) for c, cid in enumerate(children))
-        elif any(first[c + 1] > first[c] for c in children):
-            raise InputDataError("tree is deeper than the candidate depth cap")
+    shape = tree._shape
+    inner = shape.depth[shape.split]
+    if tree.fanout != fanout and (inner < depth_cap - 1).any():
+        raise InputDataError("tree fanout does not match candidate enumeration")
+    if (inner >= max(depth_cap, 1)).any():
+        raise InputDataError("tree is deeper than the candidate depth cap")
+    mask, cand = 0, [0] * shape.split.size  # each node's candidate number
+    for nid, kids in zip(np.flatnonzero(shape.split).tolist(), shape.kids.tolist()):
+        mask |= 1 << cand[nid]
+        # BFS numbering of the complete tree: candidate i's children
+        for c, kid in enumerate(kids):
+            cand[kid] = cand[nid] * fanout + 1 + c
     return mask

@@ -174,6 +174,13 @@ class TestConfigValues:
         assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
         assert res.output.startswith(f"error: {cfg}: config key ") and message in res.output
 
+    def test_unknown_key_names_the_parameter_names(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": 2.0}))
+        res = runner.invoke(main, ["svt-audit", "--config", str(cfg)])
+        assert res.exit_code == 1 and "unknown config key 'lambda'" in res.output
+        assert "the keys are the parameter names fmt, jobs, k, lam, output_path" in res.output
+
     def test_config_null_where_the_default_is_none(self, runner, tmp_path, points_csv):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"fanout": None, "noiseless": False, "theta": 0}))

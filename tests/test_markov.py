@@ -921,23 +921,20 @@ def outcome(fn, *args):
 
 
 def hand_made_pst(draw, l_max):
-    """A PST over {A, B} whose links need not match its predictors, with
-    counts that may be zero, negative or missing from the fold (START slot)."""
+    """A PST over {A, B} of up to 10 nodes, any of which may split, with
+    counts that may be zero, negative or missing from the fold (START slot).
+    It is made from columns, since the reader refuses such counts."""
     alpha = Alphabet(("A", "B"))
-    keys = (START_ID, alpha.id_of("A"), alpha.id_of("B"))
+    split, n = [], 1
+    while len(split) < n:
+        split.append(n < 10 and draw(st.booleans()))
+        n += 3 * split[-1]
     count = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.0, -1.0])
-    nodes = []
-    for nid in range(draw(st.integers(1, 8))):
-        hist = np.array(
-            [draw(st.sampled_from([0.0, 0.0, 2.0]))] + [draw(count) for _ in range(3)]
-        )
-        nodes.append(PstNode(id=nid, predictor=(), hist=hist))
-        if nid:
-            free = [(p, key) for p in range(nid) for key in keys if key not in nodes[p].children]
-            parent, key = draw(st.sampled_from(free))
-            nodes[parent].children[key] = nid
-            nodes[nid].predictor = (key,) + nodes[parent].predictor
-    return Pst(nodes=nodes, alphabet=alpha, l_max=l_max)
+    hist = np.array(
+        [[draw(st.sampled_from([0.0, 0.0, 2.0]))] + [draw(count) for _ in range(3)]
+         for _ in range(n)]
+    )
+    return Pst(alpha, l_max, split=np.array(split), hist=hist)
 
 
 def built_pst(draw, l_max):
@@ -1004,8 +1001,9 @@ class TestContextAutomaton:
     def test_end_wins_when_fold_is_below_the_draw(self):
         # mass in the START slot counts in the magnitude but is never picked
         alpha = Alphabet(("A",))
-        hist = np.array([3.0, 0.0, 1.0])
-        pst = Pst(nodes=[PstNode(id=0, predictor=(), hist=hist)], alphabet=alpha, l_max=4)
+        hist = np.array([[3.0, 0.0, 1.0]])
+        # columns, since the reader refuses a START count
+        pst = Pst(alpha, 4, split=np.array([False]), hist=hist)
         rng_ref, rng = np.random.default_rng(2), np.random.default_rng(2)
         out = generate_sequences(pst, 200, rng)
         assert out == reference_generate(pst, 200, rng_ref)
@@ -1032,11 +1030,10 @@ class TestContextAutomaton:
             PstNode(id=0, predictor=(), children={a: 1}, hist=np.array([0.0, 1.0, 1.0])),
             PstNode(id=1, predictor=(a,), children={a: 0}, hist=np.array([0.0, 1.0, 1.0])),
         ]
-        pst = Pst(nodes=nodes, alphabet=alpha, l_max=3)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        with pytest.raises(InputDataError, match="do not form a tree"):
-            generate_sequences(pst, 5, rng)
+        with pytest.raises(InputDataError, match="root node 0 is listed as a child of node 1"):
+            generate_sequences(Pst(nodes=nodes, alphabet=alpha, l_max=3), 5, rng)
         assert rng.bit_generator.state == before
 
     def test_concurrent_readers_share_one_model(self):

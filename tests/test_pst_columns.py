@@ -49,7 +49,9 @@ def reference_pst_dumps(doc):
     (``5``) is a malformed document.  Every value must have the JSON type
     of the format: ``alphabet`` a list of strings, ``params`` an object,
     ``nodes`` a list, ids and child ids integers, counts numbers and a
-    predictor a list.
+    predictor a list.  No child may be keyed by the end marker, every
+    internal node has one child per symbol and the start marker, and the
+    nodes are relabelled to BFS order, children by symbol id.
     """
     try:
         tokens = of_type(doc["alphabet"], list, "alphabet")  # added: of_type
@@ -83,6 +85,8 @@ def reference_pst_dumps(doc):
             }
             if any(not 0 <= cid < size for cid in children.values()):
                 raise InputDataError(f"node {nid} references an unknown child id")
+            if END_ID in children:  # added
+                raise InputDataError(f"node {nid} has a child under the end marker '&'")
             predictor = of_type(entry["predictor"], list, "predictor")  # added: of_type
             nodes[nid] = PstNode(
                 id=nid,
@@ -111,12 +115,24 @@ def reference_pst_dumps(doc):
         dtype=np.int64,
     ).reshape(-1, 3)
     check_tree_links(size, root, links[:, 0], links[:, 1], links[:, 2] == 1)
+    fanout = alphabet.fanout
+    for v in nodes:  # added
+        if v.children and len(v.children) != fanout:
+            raise InputDataError(
+                f"node {v.id} has {len(v.children)} children, but the PST's fanout is {fanout}"
+            )
+    bfs = [root]  # added: the relabelling to BFS order
+    for nid in bfs:
+        bfs.extend(cid for _, cid in sorted(nodes[nid].children.items()))
+    new = {old: k for k, old in enumerate(bfs)}
     out_nodes = []
-    for v in nodes:
+    for k, v in enumerate(nodes[old] for old in bfs):
         entry = {
-            "id": v.id,
+            "id": k,  # added: the BFS id
             "predictor": [alphabet.token_of(t) for t in v.predictor],
-            "children": {alphabet.token_of(sym): cid for sym, cid in sorted(v.children.items())},
+            "children": {
+                alphabet.token_of(sym): new[cid] for sym, cid in sorted(v.children.items())
+            },
         }
         if v.hist is not None:
             entry["hist"] = {

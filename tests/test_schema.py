@@ -25,7 +25,7 @@ def built_artifact(kind, seed):
         data = markov.truncate_sequences(raw, 8, markov.Alphabet(tuple("abcd")))
         pst = markov.build_private_pst(data, 8.0, rng)
         if kind == "pst-no-hist":
-            pst = markov.Pst(pst.alphabet, pst.l_max, preds=pst.preds, child=pst.child,
+            pst = markov.Pst(pst.alphabet, pst.l_max, split=pst.split,
                              params_info=pst.params_info)
         return pst
     data = random_dataset(rng, n=2000, d=4 if kind == "privtree-4d" else 2)
@@ -164,3 +164,113 @@ def test_dataset_ids_must_be_python_ints(bad):
         markov.SequenceDataset(alphabet, [[2, 3], [3, bad]], (False, False), 4)
     with pytest.raises(InputDataError, match="exceeds the length cap"):  # the first record names it
         markov.SequenceDataset(alphabet, [[2, 3, 2, 3], [3, bad]], (False, False), 4)
+
+
+# ---------------------------------------------------------------------------
+# ids are relabelled to BFS order on load; node lists meet the same checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", ["privtree-2d", "grid", "simple", "pst"])
+def test_permuted_ids_reload_to_the_written_bytes(tmp_path, kind, seed):
+    artifact = built_artifact(kind, seed)
+    doc = json.loads(artifact.dumps())
+    nodes = doc["nodes"]
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(nodes)).tolist()
+    for entry in nodes:
+        entry["id"] = perm[entry["id"]]
+        if kind == "pst":
+            entry["children"] = {tok: perm[c] for tok, c in reversed(entry["children"].items())}
+        else:
+            entry["children"] = [perm[c] for c in entry["children"]]
+    doc["nodes"] = [nodes[k] for k in rng.permutation(len(nodes))]
+    assert perm != sorted(perm)
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(doc))
+    load = markov.load_pst if kind == "pst" else spatial.load_tree
+    assert load(path).dumps() == artifact.dumps()
+
+
+def tree_nodes(defect):
+    node = spatial.TreeNode
+    if defect == "dangling child":
+        return [node(0, 0, (0.0,), (1.0,), children=[5], noisy_count=1.0)], 1
+    if defect == "two-node cycle":
+        return [node(0, 0, (0.0,), (1.0,), children=[1]),
+                node(1, 1, (0.0,), (0.5,), children=[0], noisy_count=1.0)], 1
+    return [node(0, 0, (0.0,), (1.0,), children=[1, 2]),
+            node(1, 2, (0.0,), (0.5,), noisy_count=1.0),
+            node(2, 1, (0.5,), (1.0,), noisy_count=1.0)], 2
+
+
+def pst_nodes(defect):
+    node, hist = markov.PstNode, np.array([0.0, 1.0, 1.0])
+    a = markov.Alphabet(("A",)).id_of("A")
+    if defect == "dangling child":
+        return [node(0, (), children={a: 5}, hist=hist)]
+    if defect == "two-node cycle":
+        return [node(0, (), children={a: 1}, hist=hist), node(1, (a,), children={a: 0}, hist=hist)]
+    return [node(0, (), children={markov.START_ID: 1, a: 2}, hist=hist),
+            node(1, (markov.START_ID,), hist=hist), node(2, (a, a), hist=hist)]
+
+
+NODE_LIST_DEFECTS = {
+    "dangling child": "node 0 references an unknown child id",
+    "two-node cycle": "root node 0 is listed as a child of node 1",
+    "wrong depth": "is not one level below its parent 0",
+}
+
+
+@pytest.mark.parametrize("defect", NODE_LIST_DEFECTS)
+def test_a_defective_node_list_is_refused_as_its_document_is(defect):
+    nodes, fanout = tree_nodes(defect)
+    with pytest.raises(InputDataError, match=NODE_LIST_DEFECTS[defect]):
+        spatial.DecompTree(nodes, fanout)
+    with pytest.raises(InputDataError, match=NODE_LIST_DEFECTS[defect]):
+        markov.Pst(markov.Alphabet(("A",)), 3, nodes=pst_nodes(defect))
+
+
+def test_node_lists_of_numpy_values_build_the_trees_of_their_python_copies():
+    node, i64, f64 = spatial.TreeNode, np.int64, np.float64
+    typed = [node(i64(0), i64(0), np.zeros(2), np.ones(2), children=[i64(1), i64(2)]),
+             node(i64(1), i64(1), np.zeros(2), np.array([0.5, 1.0]), noisy_count=f64(1.5)),
+             node(i64(2), i64(1), np.array([0.5, 0.0]), np.ones(2), noisy_count=i64(2))]
+    plain = [node(0, 0, (0.0, 0.0), (1.0, 1.0), children=[1, 2]),
+             node(1, 1, (0.0, 0.0), (0.5, 1.0), noisy_count=1.5),
+             node(2, 1, (0.5, 0.0), (1.0, 1.0), noisy_count=2.0)]
+    a, b = spatial.DecompTree(typed, i64(2)), spatial.DecompTree(plain, 2)
+    assert spatial.trees_equal(a, b) and a.dumps() == b.dumps()
+
+    alpha, hist = markov.Alphabet(("A",)), np.array([0.0, 1.0, 2.0])
+    a_id, start = alpha.id_of("A"), markov.START_ID
+    typed = [markov.PstNode(i64(0), (), {i64(start): i64(1), i64(a_id): i64(2)}, hist),
+             markov.PstNode(i64(1), (i64(start),), hist=hist.astype(np.float32)),
+             markov.PstNode(i64(2), (i64(a_id),), hist=list(hist))]
+    plain = [markov.PstNode(0, (), {start: 1, a_id: 2}, hist),
+             markov.PstNode(1, (start,), hist=hist), markov.PstNode(2, (a_id,), hist=hist)]
+    a, b = markov.Pst(alpha, 3, nodes=typed), markov.Pst(alpha, 3, nodes=plain)
+    assert a.dumps() == b.dumps()
+
+
+def test_a_pst_node_with_a_partial_child_set_is_input_error(tmp_path):
+    doc = {
+        "alphabet": ["A", "B"], "l_max": 4,
+        "params": {"epsilon": None, "lambda": None, "theta": None, "delta": None},
+        "nodes": [
+            {"id": 0, "predictor": [], "children": {"$": 1, "A": 2}, "hist": {"&": 1.0, "A": 2.0}},
+            {"id": 1, "predictor": ["$"], "children": {}, "hist": {"A": 1.0}},
+            {"id": 2, "predictor": ["A"], "children": {}, "hist": {"&": 1.0, "A": 1.0}},
+        ],
+    }
+    message = "node 0 has 2 children, but the PST's fanout is 3"
+    res = seq_topk(tmp_path, json.dumps(doc), change(None, "spare", None))
+    assert res.exit_code == 2 and message in res.output, res.output
+    with pytest.raises(InputDataError, match=message):
+        markov.pst_from_json_dict(doc)
+    with pytest.raises(InputDataError, match=message):
+        markov.Pst(markov.Alphabet(("A", "B")), 4, nodes=[
+            markov.PstNode(0, (), children={0: 1, 2: 2}), markov.PstNode(1, (0,)),
+            markov.PstNode(2, (2,)),
+        ])

@@ -50,7 +50,7 @@ def oracle_count(points, lo, hi):
 def force_tree_walk(tree):
     """Install the level-by-level walk as the tree's query view, so a grid
     is answered node by node."""
-    tree._view = spatial._TreeArrays.from_columns(tree._cols, tree.root, tree.fanout)
+    tree._view = spatial._TreeArrays.from_columns(tree._cols, tree._shape)
     return tree
 
 
@@ -296,7 +296,7 @@ class TestAttachNoisyCounts:
         params = privtree_params(1.0, 4, 0.0)
         tree = build_privtree(uniform_4096, params, np.random.default_rng(3))
         attach_noisy_counts(tree, uniform_4096, 0.5, np.random.default_rng(4))
-        sums = spatial._column_sums(tree._cols, tree.root, tree.fanout)
+        sums = spatial._column_sums(tree._cols, tree._shape)
         for node in tree.nodes:
             if not node.is_leaf:
                 assert sums[node.id] == pytest.approx(
@@ -463,7 +463,7 @@ class TestMonotoneBias:
                 walk(c, b)
 
         walk(tree.root, None)
-        assert sum(counts.values()) == data.n
+        assert counts.sum() == data.n
 
 
 class TestReleaseHygiene:
@@ -1109,7 +1109,7 @@ def reference_attach(tree, data, epsilon_counts, rng):
             pts = data.points
             c = int(((pts >= node.lo) & (pts < node.hi)).all(axis=1).sum())
             node.noisy_count = c + sample_laplace(1.0 / epsilon_counts, rng)
-    return DecompTree(nodes, tree.fanout, tree.params_info, tree.root)
+    return DecompTree(nodes, tree.fanout, tree.params_info)
 
 
 class TestNoiseDrawOrder:
@@ -1350,7 +1350,8 @@ def reference_tree_from_json_dict(doc):
     node entry whose field does not convert raises InputDataError.  The
     checks marked "added" make every value have the JSON type of the
     format, a depth lie in [0, n) and an internal node have ``fanout``
-    children."""
+    children; the nodes are then relabelled to BFS order, children in listed
+    order (added)."""
     try:
         fanout = int(of_type(doc["fanout"], int, "fanout"))  # added: of_type
         params_info = dict(of_type(doc["params"], dict, "params"))  # added: of_type
@@ -1421,7 +1422,16 @@ def reference_tree_from_json_dict(doc):
             raise InputDataError(
                 f"node {v.id} has {len(v.children)} children, but the tree's fanout is {fanout}"
             )
-    return DecompTree(nodes=nodes, fanout=fanout, params_info=params_info, root=root)
+    bfs = [root]  # added: the relabelling to BFS order
+    for nid in bfs:
+        bfs.extend(nodes[nid].children)
+    new = {old: k for k, old in enumerate(bfs)}
+    nodes = [
+        TreeNode(id=k, depth=v.depth, lo=v.lo, hi=v.hi, children=[new[c] for c in v.children],
+                 noisy_count=v.noisy_count)
+        for k, v in enumerate(nodes[old] for old in bfs)
+    ]
+    return DecompTree(nodes=nodes, fanout=fanout, params_info=params_info)
 
 
 _LOAD_KINDS = (
@@ -1542,7 +1552,7 @@ def mutated_tree_docs(draw):
 def grids_equal(tree, ref):
     """The grid view that range_counts installs for ``tree`` equals the
     reference's grid of ``ref``, or neither is a grid."""
-    a, b = spatial._detect_grid(tree._cols, tree.root, tree.fanout), reference_detect_grid(ref)
+    a, b = spatial._detect_grid(tree._cols, tree.fanout), reference_detect_grid(ref)
     if a is None or b is None:
         return a is b
     return (

@@ -38,11 +38,16 @@ NONNEGATIVE = [v for v in HAND_MADE if 0.0 <= v < 1e300] + [math.inf, math.nan]
 def reference_tree_doc(tree):
     cols = tree._cols
     lo, hi, count = cols.lo.tolist(), cols.hi.tolist(), cols.count.tolist()
-    depth, first, kids = cols.depth.tolist(), cols.first.tolist(), cols.kids.tolist()
     out_nodes = [
-        {"id": i, "depth": dep, "lo": lo_i, "hi": hi_i, "children": kids[a:b]}
-        for i, (dep, lo_i, hi_i, a, b) in enumerate(zip(depth, lo, hi, first, first[1:]))
+        {"id": i, "depth": 0, "lo": lo_i, "hi": hi_i, "children": []}
+        for i, (lo_i, hi_i) in enumerate(zip(lo, hi))
     ]
+    # BFS ids: the s-th splitting node's children are 1 + s * fanout + code
+    for s, i in enumerate(np.flatnonzero(cols.split).tolist()):
+        kids = list(range(1 + s * tree.fanout, 1 + (s + 1) * tree.fanout))
+        out_nodes[i]["children"] = kids
+        for c in kids:
+            out_nodes[c]["depth"] = out_nodes[i]["depth"] + 1
     for i in np.flatnonzero(cols.has_count).tolist():
         out_nodes[i]["noisy_count"] = count[i]
     keys = ("epsilon", "lambda", "theta", "delta")
@@ -158,15 +163,16 @@ class TestTreeWriter:
         params=st.sampled_from([{}, {"epsilon": 1e22, "theta": -0.0, "lambda": 5e-324}]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_node_list_trees_with_hand_made_values(self, values, counts, params):
-        nodes = [
-            TreeNode(id=0, depth=0, lo=tuple(values[0:2]), hi=tuple(values[2:4]), children=[2, 1]),
-            TreeNode(id=1, depth=1, lo=tuple(values[4:6]), hi=tuple(values[6:8])),
-            TreeNode(id=2, depth=1, lo=tuple(values[8:10]), hi=tuple(values[10:12]), children=[]),
-        ]
-        for node, count in zip(nodes, counts):
-            node.noisy_count = count
-        assert_writes_reference(DecompTree(nodes, 2, params), reference_tree_doc)
+    def test_column_trees_with_hand_made_values(self, values, counts, params):
+        # columns, since a node list meets the loader's checks, which refuse
+        # most of these values
+        box = np.array(values).reshape(3, 2, 2)
+        cols = spatial._Columns(
+            lo=box[:, 0], hi=box[:, 1], split=np.array([True, False, False]),
+            count=np.array([0.0 if c is None else c for c in counts]),
+            has_count=np.array([c is not None for c in counts]),
+        )
+        assert_writes_reference(DecompTree(cols, 2, params), reference_tree_doc)
 
     def test_hand_made_values_are_written_as_json_writes_them(self):
         nodes = [TreeNode(id=0, depth=0, lo=(-0.0, 1e-7), hi=(1e16, 1e22), noisy_count=5e-324)]
