@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import InputDataError, ParameterError
 
@@ -350,13 +351,42 @@ def float_texts(values) -> np.ndarray:
     return np.array(texts, dtype=object)[inverse].reshape(values.shape)
 
 
-def read_json(path):
-    """The JSON document in the file at ``path``; InputDataError if invalid."""
+def read_json(path, loader):
+    """``loader`` applied to the JSON document in the file at ``path``;
+    InputDataError if the document is invalid.
+
+    ``orjson`` parses the bytes.  Where it refuses them (``NaN``,
+    ``Infinity``, a lone surrogate, a number too large for a float), where
+    ``loader`` refuses its values, or where a member other than ``"nodes"``
+    holds a float of magnitude ``2**63`` or more, ``json`` parses the file
+    again and ``loader`` runs on that.  orjson reads an integer outside
+    int64 and uint64 as a float where ``json`` keeps the int; the loaders
+    type-check every node value, so only those other members could carry
+    one through.  Every accepted document is thus the one ``json`` gives,
+    and every refusal keeps ``json``'s message or the loader's."""
+    try:
+        with open(path, "rb") as fh:
+            doc = orjson.loads(fh.read())
+        if not (isinstance(doc, dict) and _holds_wide_float(
+                [v for k, v in doc.items() if k != "nodes"])):
+            return loader(doc)
+    except Exception:  # whatever went wrong, json and the loader decide below
+        pass
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputDataError(f"{path}: invalid JSON ({exc})") from exc
+    return loader(doc)
+
+
+def _holds_wide_float(value) -> bool:
+    """Whether a float of magnitude ``2**63`` or more sits in ``value``."""
+    if type(value) is dict:
+        value = list(value.values())
+    if type(value) is list:
+        return any(map(_holds_wide_float, value))
+    return type(value) is float and abs(value) >= 2.0**63
 
 
 def json_value(value, kind, name: str):

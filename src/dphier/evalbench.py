@@ -10,6 +10,7 @@ That shape convention is this package's choice, declared here once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,10 +144,14 @@ def _cell_index(data: SpatialDataset):
     (d x n) with the points sorted by cell in C order, so cell ``c`` holds
     points ``first[c]`` to ``first[c + 1] - 1``.
 
-    A point's cell in each dimension is the last edge not above it, found by
-    comparison, so every point of cell ``c`` lies in ``[e[c], e[c + 1])``
-    exactly.  Edges are forced non-decreasing from ``lo`` to ``hi``, which
-    only matters when a domain's width overflows."""
+    A point's cell in each dimension is the last edge not above it, so every
+    point of cell ``c`` lies in ``[e[c], e[c + 1])`` exactly.  Arithmetic
+    guesses it as ``min(floor((x - lo) * m / (hi - lo)), m - 1)``; the
+    guesses that fail ``e[c] <= x < e[c + 1]`` (rounding puts a few points
+    next to an edge one cell off) are replaced by a binary search of the
+    edges.  Edges are forced non-decreasing from ``lo`` to ``hi``, which
+    only matters when a domain's width overflows; then every point is
+    searched."""
     pts = data.points
     n, d = pts.shape
     cap = max(1, min(n, _PAIR_BUDGET))
@@ -163,8 +168,14 @@ def _cell_index(data: SpatialDataset):
         e[0], e[-1] = lo, hi
         e = np.fmax.accumulate(np.fmin(e, hi))
         edges.append(e)
+        x = pts[:, j]
+        c = np.zeros(n, dtype=np.intp)
+        if math.isfinite((hi - lo) * m):
+            np.minimum((x - lo) * m / (hi - lo), m - 1, out=c, casting="unsafe")
+        miss = np.flatnonzero((e[c] > x) | (x >= e[c + 1]))
+        c[miss] = np.searchsorted(e, x[miss], side="right") - 1
         cell *= m
-        cell += np.searchsorted(e, pts[:, j], side="right").astype(cell.dtype) - 1
+        cell += c.astype(cell.dtype)
     order = np.argsort(cell, kind="stable")
     first = np.zeros(m**d + 1, dtype=np.int64)
     np.cumsum(np.bincount(cell, minlength=m**d), out=first[1:])

@@ -314,6 +314,11 @@ class Pst:
         self._syms = (START_ID, *alphabet.symbol_ids)  # child code c prepends _syms[c]
         self._shape = SplitMask(split, len(self._syms))
         self.split, n = self._shape.split, self._shape.split.size
+        if hist is not None and np.shape(hist) != (n, alphabet.size + 2):
+            raise ParameterError(
+                f"hist has shape {np.shape(hist)}, but {n} nodes over {alphabet.size + 2} "
+                f"symbol ids need ({n}, {alphabet.size + 2})"
+            )
         self.child = np.full((n, alphabet.size + 2), -1, dtype=np.int64)
         self.child[np.ix_(self.split, self._syms)] = self._shape.kids
         self.hist, self.alphabet, self.l_max, self.params = hist, alphabet, int(l_max), params
@@ -406,8 +411,10 @@ def pst_from_json_dict(doc: dict) -> Pst:
     """A PST from its document, read entry by entry, so the first defect in
     document order, such as a value of the wrong JSON type, names the error.
     The links must form one tree, each child's predictor its parent's with
-    its symbol prepended, and each internal node has one child per symbol and
-    START; the ids are then relabelled to BFS order (a writer's already are)."""
+    its symbol prepended, each internal node has one child per symbol and
+    START, and no node whose predictor starts with START splits (nothing
+    comes before the start); the ids are then relabelled to BFS order (a
+    writer's already are)."""
     try:
         tokens = json_value(doc["alphabet"], list, "alphabet")
         alphabet = Alphabet(tuple(json_value(t, str, "token") for t in tokens))
@@ -463,12 +470,17 @@ def pst_from_json_dict(doc: dict) -> Pst:
     table = np.empty((size, alphabet.fanout), dtype=np.int64)
     table[parents, np.maximum(syms - 1, 0)] = kids  # child code 0 for START, s - 1 for id s
     order, split = bfs_relabel(root, n_kids, table[n_kids > 0], alphabet.fanout, "PST")
+    for nid in np.flatnonzero(n_kids).tolist():
+        if preds[nid][:1] == (START_ID,):
+            raise InputDataError(
+                f"node {nid}: its predictor starts with {START_TOKEN!r}, so it may not split"
+            )
     hist = None if bare else np.array(rows, dtype=np.float64)[order]
     return Pst(alphabet, l_max, split=split, hist=hist, params_info=dict(params_info))
 
 
 def load_pst(path) -> Pst:
-    return pst_from_json_dict(read_json(path))
+    return read_json(path, pst_from_json_dict)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, SplitMask, bfs_relabel
 from .dp_core import biased_count, biased_split, check_tree_links, child_sums, float_texts
@@ -173,6 +174,14 @@ class DecompTree:
             if any(v.exact_count is not None for v in nodes):
                 raise InputDataError("tree nodes carry exact counts; refusing to store them")
             nodes = tree_from_json_dict(_node_document(nodes, int(fanout), params_info))._cols
+        n = np.size(nodes.split)
+        shapes = [np.shape(v) for v in (nodes.lo, nodes.hi, nodes.count, nodes.has_count)]
+        if not (shapes[0] == shapes[1] and len(shapes[0]) == 2 and shapes[0][0] == n
+                and shapes[2] == shapes[3] == (n,)):
+            raise ParameterError(
+                f"lo, hi, count and has_count have shapes {shapes}, but a split mask of "
+                f"{n} nodes needs ({n}, d), ({n}, d), ({n},) and ({n},)"
+            )
         self._cols = nodes
         self.fanout = int(fanout)
         self._shape = SplitMask(nodes.split, self.fanout)
@@ -837,7 +846,7 @@ def tree_from_json_dict(doc: dict) -> DecompTree:
 
 
 def load_tree(path) -> DecompTree:
-    return tree_from_json_dict(read_json(path))
+    return read_json(path, tree_from_json_dict)
 
 
 def _grid_cells(lo, hi, m: int):
@@ -892,28 +901,75 @@ def _parse_csv_floats(path, expected_fields=None):
     return rows
 
 
+# _read_csv_floats reads a file in blocks of about this many bytes
+_CSV_CHUNK = 1 << 18
+_CSV_BYTES = b"0123456789.eE+-, \t\r\n"
+# a -0 with no fraction or exponent, which JSON reads as the integer 0; it
+# also matches an exponent e-0, which then goes to the line parser as well
+_BARE_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
+
+
 def _read_csv_floats(path, expected_fields=None) -> np.ndarray:
     """Rows of comma-separated floats as an (n, k) array, (0, 0) when empty.
 
-    One ``np.loadtxt`` call reads well-formed files.  It accepts no input
-    that :func:`_parse_csv_floats` rejects and parses every field it accepts
-    with the same conversion as ``float()``; whatever it cannot read
-    (comments, whitespace-only lines, ``1_0``, ragged rows, a wrong width,
-    no rows) goes to that line parser, which defines the grammar and reports
-    errors by line number."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty file only warns
-            arr = np.loadtxt(
-                path, dtype=np.float64, delimiter=",", comments=None, ndmin=2,
-                encoding="utf-8",
-            )
-        if arr.shape[0] and expected_fields in (None, arr.shape[1]):
-            return arr
-    except (OSError, ValueError, Warning):
-        pass
+    The file is read in blocks of about ``_CSV_CHUNK`` bytes, each cut after
+    its last newline, and :func:`_csv_block` parses a block with ``orjson``.
+    A JSON number is a Python float literal, and orjson reads it with the
+    same bits as ``float()``, so the blocks accept no field that
+    :func:`_parse_csv_floats` rejects and read every field they accept as it
+    does.  If any block is refused (comments, blank lines, ``nan``, ``1_0``,
+    ``+1``, ``1e400``, a bare ``-0``, a lone ``\\r``, ragged rows, a wrong
+    width) or the file has no rows, that line parser reads the whole file
+    again; it defines the grammar and reports errors by line number."""
+    blocks, k = [], expected_fields
+    with open(path, "rb") as fh:
+        tail = b""
+        while chunk := fh.read(_CSV_CHUNK):
+            tail += chunk
+            cut = tail.rfind(b"\n") + 1
+            if cut:
+                blocks.append(_csv_block(tail[:cut], k))
+                tail = tail[cut:]
+                if blocks[-1] is None:
+                    break
+                k = blocks[-1].shape[1]
+        else:
+            if tail:
+                blocks.append(_csv_block(tail + b"\n", k))
+    if blocks and all(b is not None for b in blocks):
+        return np.concatenate(blocks)
     rows = _parse_csv_floats(path, expected_fields)
     return np.asarray(rows, dtype=np.float64) if rows else np.empty((0, 0))
+
+
+def _csv_block(block: bytes, k: int | None) -> np.ndarray | None:
+    """The rows of ``block``, whole lines that end in a newline, as an array
+    of ``k`` columns (the first line's field count if ``k`` is None), or
+    None unless every line holds ``k`` JSON numbers and nothing else.
+
+    The lines become one JSON array with a ``null`` after each line; the
+    nulls sit every ``k + 1`` entries exactly when every line has ``k``
+    fields, since no other null can occur: ``n``, ``u`` and ``l`` are not in
+    ``_CSV_BYTES``."""
+    if block.translate(None, _CSV_BYTES):
+        return None
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
+        if b"\r" in block:  # a line break of its own to the line parser
+            return None
+    if b"-" in block and _BARE_MINUS_ZERO.search(block):
+        return None
+    lines = block.count(b"\n")
+    if k is None:
+        k = block.count(b",", 0, block.find(b"\n")) + 1
+    try:
+        vals = orjson.loads(b"[" + block[:-1].replace(b"\n", b",null,") + b",null]")
+    except orjson.JSONDecodeError:
+        return None
+    if len(vals) != lines * (k + 1) or vals[k :: k + 1].count(None) != lines:
+        return None
+    del vals[k :: k + 1]
+    return np.fromiter(vals, np.float64, lines * k).reshape(lines, k)
 
 
 def load_points_csv(path) -> np.ndarray:

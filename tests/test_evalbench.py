@@ -1,4 +1,6 @@
+import contextlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -320,6 +322,32 @@ class TestExactRangeCountsIndex:
             tracemalloc.stop()
         assert got.tolist() == [exact_range_count(data, q) for q in queries]
         assert peak < data.points.nbytes + 16 * 2**20
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, 1.0), (-3.7, 0.1), (1e-300, 3e-300), (5e-324, 1e-320), (1.0, 1.0 + 2**-40),
+         (-1e308, 1e308)],  # the last width overflows
+    )
+    def test_cells_are_those_of_the_edge_search(self, lo, hi):
+        rng = np.random.default_rng(4)
+        d, n = 2, 3000
+        domain = SpatialDomain((lo,) * d, (hi,) * d)
+        # np.linspace warns of the overflow when it makes the edges
+        quiet = np.errstate(over="ignore", invalid="ignore")
+        with quiet if math.isinf(hi - lo) else contextlib.nullcontext():
+            edges = evalbench._cell_index(SpatialDataset(domain, np.full((n, d), lo)))[0][0]
+            u = rng.random((n, d))
+            pts = lo * (1 - u) + hi * u
+            pts[: n // 3] = rng.choice(edges[:-1], size=(n // 3, d))  # on the edges
+            pts[n // 3 : n // 2] = np.nextafter(pts[: n // 6], -np.inf)  # just below them
+            pts = np.clip(pts, lo, np.nextafter(hi, -np.inf))
+            got_edges, first, cols = evalbench._cell_index(SpatialDataset(domain, pts))
+        m = edges.size - 1
+        cell = np.zeros(n, dtype=np.int64)
+        for j, e in enumerate(got_edges):
+            cell = cell * m + np.searchsorted(e, pts[:, j], side="right") - 1
+        assert np.array_equal(first, np.r_[0, np.cumsum(np.bincount(cell, minlength=m**d))])
+        assert np.array_equal(cols, pts[np.argsort(cell, kind="stable")].T)
 
     def test_empty_dataset_and_dimension_check(self, unit_square):
         data = SpatialDataset(unit_square, np.empty((0, 2)))

@@ -50,7 +50,8 @@ def reference_pst_dumps(doc):
     of the format: ``alphabet`` a list of strings, ``params`` an object,
     ``nodes`` a list, ids and child ids integers, counts numbers and a
     predictor a list.  No child may be keyed by the end marker, every
-    internal node has one child per symbol and the start marker, and the
+    internal node has one child per symbol and the start marker, no node
+    whose predictor starts with the start marker has children, and the
     nodes are relabelled to BFS order, children by symbol id.
     """
     try:
@@ -120,6 +121,11 @@ def reference_pst_dumps(doc):
         if v.children and len(v.children) != fanout:
             raise InputDataError(
                 f"node {v.id} has {len(v.children)} children, but the PST's fanout is {fanout}"
+            )
+    for v in nodes:  # added
+        if v.children and v.predictor[:1] == (markov.START_ID,):
+            raise InputDataError(
+                f"node {v.id}: its predictor starts with {START_TOKEN!r}, so it may not split"
             )
     bfs = [root]  # added: the relabelling to BFS order
     for nid in bfs:

@@ -3,6 +3,7 @@ and a value of the wrong JSON type exits 2 with a message naming where it
 is.  Likewise a sequence dataset holds symbol ids that are Python ints."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 from dphier import markov, spatial
 from dphier.cli import main
 from dphier.dp_core import privtree_params
-from dphier.errors import InputDataError
+from dphier.errors import InputDataError, ParameterError
 
 from conftest import random_dataset
 
@@ -274,3 +275,119 @@ def test_a_pst_node_with_a_partial_child_set_is_input_error(tmp_path):
             markov.PstNode(0, (), children={0: 1, 2: 2}), markov.PstNode(1, (0,)),
             markov.PstNode(2, (2,)),
         ])
+
+
+# ---------------------------------------------------------------------------
+# orjson reads the documents; json defines what they hold
+# ---------------------------------------------------------------------------
+
+
+def load_through_json(path, loader):
+    """What the loaders gave when ``json`` parsed every document."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputDataError(f"{path}: invalid JSON ({exc})") from exc
+    return loader(doc)
+
+
+def outcome(load, *args):
+    try:
+        artifact = load(*args)
+    except Exception as exc:  # the type and message must match too
+        return type(exc), str(exc)
+    return artifact.dumps(), repr(artifact.params_info)
+
+
+BIG = 2**70
+TEXT_EDITS = {
+    "NaN in params": ('"params": {', '"params": {"z": NaN, '),
+    "Infinity in params": ('"params": {', '"params": {"z": -Infinity, '),
+    "integer beyond 64 bits in params": ('"params": {', f'"params": {{"z": {BIG}, '),
+    "integer below int64 in params": ('"params": {', f'"params": {{"z": {-(2**63) - 1}, '),
+    "nested wide integer in params": ('"params": {', f'"params": {{"z": [{{"x": {BIG}}}], '),
+    "wide float in params": ('"params": {', '"params": {"z": 1e19, '),
+    "lone surrogate in params": ('"params": {', '"params": {"z": "\\ud800", '),
+    "integer beyond 64 bits as a node id": ('"id": 1,', f'"id": {BIG},'),
+    "duplicate key, last kept": ('"nodes": [', '"nodes": 5, "nodes": ['),
+    "duplicate key, last refused": ('"params": {', '"params": 5, "params": {'),
+    "NaN after a valid prefix": ('"id": 2,', '"id": NaN,'),
+    "trailing text": (None, " x"),
+}
+TREE_EDITS = {
+    "integer beyond 64 bits as a count": ('"noisy_count": ', f'"noisy_count": {BIG}, "x": '),
+    "depth beyond int64": ('"depth": 1,', f'"depth": {2**64},'),
+    "NaN count": ('"noisy_count": ', '"noisy_count": NaN, "x": '),
+}
+PST_EDITS = {
+    "integer beyond 64 bits as a count": ('"&": ', f'"&": {BIG}, "x": '),
+    "l_max beyond 64 bits": ('"l_max": 10', f'"l_max": {BIG}'),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    [(kind, case) for kind, edits in (("tree", TREE_EDITS), ("pst", PST_EDITS))
+     for case in TEXT_EDITS | edits],
+)
+def test_documents_load_or_fail_exactly_as_through_json(tmp_path, tree_doc, pst_doc, kind, case):
+    edits, clean = (TREE_EDITS, tree_doc) if kind == "tree" else (PST_EDITS, pst_doc)
+    old, new = (TEXT_EDITS | edits)[case]
+    text = clean + new if old is None else clean.replace(old, new, 1)
+    assert text != clean
+    path = tmp_path / "artifact.json"
+    path.write_text(text, encoding="utf-8")
+    load, loader = (
+        (spatial.load_tree, spatial.tree_from_json_dict) if kind == "tree"
+        else (markov.load_pst, markov.pst_from_json_dict)
+    )
+    assert outcome(load, path) == outcome(load_through_json, path, loader)
+
+
+def test_clean_documents_skip_the_json_module(tmp_path, tree_doc, pst_doc, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json used")
+
+    monkeypatch.setattr(json, "load", refuse)
+    for text, load in ((tree_doc, spatial.load_tree), (pst_doc, markov.load_pst)):
+        path = tmp_path / "artifact.json"
+        path.write_text(text)
+        assert load(path).dumps() == text
+
+
+# ---------------------------------------------------------------------------
+# constructors refuse what a document could not hold
+# ---------------------------------------------------------------------------
+
+
+def test_a_pst_node_after_the_start_marker_may_not_split(tmp_path):
+    hist = {"&": 1.0, "A": 1.0}
+    entries = [((), {"$": 1, "A": 2}), (("$",), {"$": 3, "A": 4}), (("A",), {}),
+               (("$", "$"), {}), (("A", "$"), {})]
+    doc = {
+        "alphabet": ["A"], "l_max": 4, "params": {},
+        "nodes": [{"id": i, "predictor": list(p), "children": c, "hist": hist}
+                  for i, (p, c) in enumerate(entries)],
+    }
+    message = "node 1: its predictor starts with '$', so it may not split"
+    with pytest.raises(InputDataError, match=re.escape(message)):
+        markov.pst_from_json_dict(doc)
+    res = seq_topk(tmp_path, json.dumps(doc), change(None, "spare", None))
+    assert res.exit_code == 2 and message in res.output, res.output
+
+
+def test_constructors_refuse_columns_of_another_node_count():
+    with pytest.raises(ParameterError, match=re.escape("hist has shape (5, 3), but 1 nodes")):
+        markov.Pst(markov.Alphabet(("A",)), 3, split=[False], hist=np.ones((5, 3)))
+    with pytest.raises(ParameterError, match=re.escape("hist has shape (1, 4)")):
+        markov.Pst(markov.Alphabet(("A",)), 3, split=[False], hist=np.ones((1, 4)))
+    cols = spatial._Columns(np.zeros((3, 2)), np.ones((3, 2)), np.array([False]), np.zeros(3),
+                            np.ones(3, dtype=bool))
+    with pytest.raises(ParameterError, match=re.escape("shapes [(3, 2), (3, 2), (3,), (3,)]")):
+        spatial.DecompTree(cols, 4)
+    with pytest.raises(ParameterError, match="a split mask of 1 nodes"):
+        spatial.DecompTree(cols._replace(hi=np.ones((1, 2))), 4)
+    one = spatial.DecompTree(cols._replace(lo=np.zeros((1, 2)), hi=np.ones((1, 2)),
+                                           count=np.zeros(1), has_count=np.ones(1, bool)), 4)
+    assert one.n_nodes == 1

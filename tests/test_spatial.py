@@ -990,7 +990,9 @@ csv_field = st.one_of(
     decimal_text,
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(
-        ["1_0", "", " ", "nan", "-inf", "Infinity", "1e400", "0x10", "abc", "2 # x", "#"]
+        ["1_0", "", " ", "nan", "-inf", "Infinity", "1e400", "0x10", "abc", "2 # x", "#",
+         "-0", "-0e0", "1e-0", "+1", "\r", str(2**53 + 1), str(2**64 + 1), str(-(2**63) - 1),
+         "null", "true", '"1"', "[1]"]
     ),
 )
 padding = st.sampled_from(["", " ", "  ", "\t", " \t "])
@@ -1022,11 +1024,12 @@ def csv_text(draw):
 
 
 class TestCsvReaders:
-    @given(doc=csv_text())
+    @given(doc=csv_text(), chunk=st.sampled_from([spatial._CSV_CHUNK, 1, 2, 3, 5, 8, 13, 40]))
     @settings(max_examples=200, deadline=None)
-    def test_same_bits_or_same_error_as_line_parser(self, doc):
+    def test_same_bits_or_same_error_as_line_parser(self, doc, chunk):
         width, text = doc
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spatial, "_CSV_CHUNK", chunk)  # chunks smaller than a line, too
             path = Path(tmp) / "rows.csv"
             path.write_bytes(text.encode("utf-8"))
             want = read_with_line_parser(path)
@@ -1062,6 +1065,35 @@ class TestCsvReaders:
                     flat = [v for q in got for v in q.lo + q.hi]
                     assert same_bits(flat, [v for q in rows for v in q.lo + q.hi])
 
+    @pytest.mark.parametrize("chunk", [7, 64, 1000])
+    @pytest.mark.parametrize(
+        "defect",
+        [None, "# note", "", "  ", "nan,1,2", "1,2", "1,2,3,4", "-0,1,2", "1e400,1,2",
+         "1,2\r3,4,5", "1,\r2,3", "+1,2,3", "1,2,3 # x", "0x1,2,3", "1,null,2", '1,"2",3',
+         "1,2,3,4\n5,6"],  # the last two lines hold 2 * 3 fields
+    )
+    @pytest.mark.parametrize("expected", [None, 3, 4])
+    def test_a_defect_after_the_first_chunk_gives_the_line_parser_result(
+        self, tmp_path, monkeypatch, chunk, defect, expected
+    ):
+        rng = np.random.default_rng(3)
+        lines = ["%.17g,%.17g,%.17g" % tuple(row) for row in rng.normal(size=(300, 3))]
+        lines[-1] = f"{2**64 + 1},-0.0,7"
+        if defect is not None:
+            lines[250] = defect
+        path = tmp_path / "rows.csv"
+        path.write_text("\r\n".join(lines) if chunk == 64 else "\n".join(lines))
+        want = read_with_line_parser(path, expected)
+        monkeypatch.setattr(spatial, "_CSV_CHUNK", chunk)
+        try:
+            got = spatial._read_csv_floats(path, expected)
+        except InputDataError as exc:
+            got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert same_bits(got, want)
+
     def test_well_formed_file_skips_the_line_parser(self, tmp_path, monkeypatch):
         path = tmp_path / "pts.csv"
         path.write_text("0.1,0.2\n0.3,0.4\n")
@@ -1072,6 +1104,10 @@ class TestCsvReaders:
         monkeypatch.setattr(spatial, "_parse_csv_floats", refuse)
         assert spatial.load_points_csv(path).tolist() == [[0.1, 0.2], [0.3, 0.4]]
         assert spatial.load_workload_csv(path, 1)[1].hi == (0.4,)
+        # line after line, across chunks, with Windows line ends
+        monkeypatch.setattr(spatial, "_CSV_CHUNK", 5)
+        path.write_bytes(b"0.1, 2\r\n3,\t-4.5e-1\r\n5,6")
+        assert spatial.load_points_csv(path).tolist() == [[0.1, 2.0], [3.0, -0.45], [5.0, 6.0]]
 
 
 # ---------------------------------------------------------------------------
