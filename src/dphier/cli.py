@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -25,7 +24,7 @@ import click
 import numpy as np
 
 from . import evalbench, markov, spatial
-from .dp_core import json_value, privtree_params
+from .dp_core import json_value
 from .errors import InputDataError, ParameterError, QuadratureError
 
 
@@ -165,16 +164,7 @@ def main() -> None:
 def cmd_spatial_build(**kw):
     """Build a released decomposition tree with noisy leaf counts."""
     kw = _apply_config(kw.pop("config_path"), kw)
-    epsilon = kw["epsilon"]
-    if epsilon is None or not epsilon > 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
-    if not 0.0 < kw["budget_split"] < 1.0:
-        raise ParameterError("budget-split must be in (0, 1)")
-    if kw["depth_cap"] < 0:
-        raise ParameterError("depth-cap must be nonnegative")
-    fanout = kw["fanout"]
-    if fanout is not None and (fanout < 2 or fanout & (fanout - 1)):
-        raise ParameterError(f"fanout must be a power of two >= 2, got {fanout}")
+    spatial.check_release_args(kw["epsilon"], kw["budget_split"], kw["fanout"], kw["depth_cap"])
     _warn_noiseless(kw["noiseless"])
 
     points = spatial.load_points_csv(kw["input_path"])
@@ -189,27 +179,11 @@ def cmd_spatial_build(**kw):
     )
     data = spatial.SpatialDataset(domain, points)
 
-    d = domain.dims
-    dims_per_level = d if fanout is None else int(math.log2(fanout))
-    if dims_per_level > d:
-        raise ParameterError(f"fanout {fanout} exceeds 2^d for d={d}")
-    eps_tree = epsilon * kw["budget_split"]
-    eps_counts = epsilon - eps_tree
-    params = privtree_params(eps_tree, 1 << dims_per_level, kw["theta"])
-    ss = np.random.SeedSequence(kw["seed"])
-    rng_tree, rng_counts = (np.random.default_rng(c) for c in ss.spawn(2))
-
     t0 = time.perf_counter()
-    tree = spatial.build_privtree(
-        data,
-        params,
-        rng_tree,
-        depth_cap=kw["depth_cap"],
-        dims_per_level=dims_per_level,
+    tree = spatial.release_privtree(
+        data, kw["epsilon"], budget_split=kw["budget_split"], fanout=kw["fanout"],
+        depth_cap=kw["depth_cap"], theta=kw["theta"], seed=kw["seed"],
         noiseless=kw["noiseless"],
-    )
-    spatial.attach_noisy_counts(
-        tree, data, eps_counts, rng_counts, noiseless=kw["noiseless"]
     )
     elapsed = time.perf_counter() - t0
     tree.save(kw["output_path"])

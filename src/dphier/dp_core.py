@@ -342,13 +342,29 @@ def float_texts(values) -> np.ndarray:
     """The JSON text of each value of a float array, as ``json.dumps`` writes
     it (``NaN`` and ``Infinity`` included), in an object array of its shape.
 
-    ``json.dumps`` runs once over the distinct values, taken by bit pattern so
-    that ``-0.0`` stays apart from ``0.0``: a tree's regions repeat few
-    distinct coordinates many times."""
+    The texts are made once per distinct value, taken by bit pattern so that
+    ``-0.0`` stays apart from ``0.0``: a tree's regions repeat few distinct
+    coordinates many times.  ``json.dumps`` writes a float as ``repr`` does,
+    which is in positional notation exactly when ``1e-4 <= |v| < 1e16``;
+    ``orjson.dumps`` writes the same shortest digits, so the values in that
+    range take orjson's text, unless it holds an exponent after all.  All
+    other values (zeros, smaller and larger magnitudes, NaN, infinities) go
+    through ``json.dumps``."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-    return np.array(texts, dtype=object)[inverse].reshape(values.shape)
+    distinct = bits.view(np.float64)
+    texts = np.empty(distinct.size, dtype=object)
+    mag = np.abs(distinct)
+    slow = ~((mag >= 1e-4) & (mag < 1e16))  # NaN included
+    fast = np.flatnonzero(~slow)
+    if fast.size:
+        raw = orjson.dumps(distinct[fast].tolist())
+        texts[fast] = raw[1:-1].decode().split(",")
+        if b"e" in raw:
+            slow[fast[["e" in t for t in texts[fast]]]] = True
+    if slow.any():
+        texts[slow] = json.dumps(distinct[slow].tolist())[1:-1].split(", ")
+    return texts[inverse].reshape(values.shape)
 
 
 def read_json(path, loader):

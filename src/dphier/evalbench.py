@@ -10,7 +10,6 @@ That shape convention is this package's choice, declared here once.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .dp_core import float_texts
 from .errors import InputDataError, ParameterError
 from .spatial import _PAIR_BUDGET, DecompTree, RangeQuery, SpatialDataset, SpatialDomain
-from .spatial import range_counts
+from .spatial import _grid_bins, range_counts
 
 __all__ = [
     "EvalReport",
@@ -144,14 +143,11 @@ def _cell_index(data: SpatialDataset):
     (d x n) with the points sorted by cell in C order, so cell ``c`` holds
     points ``first[c]`` to ``first[c + 1] - 1``.
 
-    A point's cell in each dimension is the last edge not above it, so every
-    point of cell ``c`` lies in ``[e[c], e[c + 1])`` exactly.  Arithmetic
-    guesses it as ``min(floor((x - lo) * m / (hi - lo)), m - 1)``; the
-    guesses that fail ``e[c] <= x < e[c + 1]`` (rounding puts a few points
-    next to an edge one cell off) are replaced by a binary search of the
-    edges.  Edges are forced non-decreasing from ``lo`` to ``hi``, which
-    only matters when a domain's width overflows; then every point is
-    searched."""
+    A point's cell in each dimension is the last edge not above it
+    (:func:`dphier.spatial._grid_bins`), so every point of cell ``c`` lies
+    in ``[e[c], e[c + 1])`` exactly.  Edges are forced non-decreasing from
+    ``lo`` to ``hi``, which only matters when a domain's width overflows;
+    then every point is searched."""
     pts = data.points
     n, d = pts.shape
     cap = max(1, min(n, _PAIR_BUDGET))
@@ -164,18 +160,13 @@ def _cell_index(data: SpatialDataset):
     # d >= 2 that is 16 bits, and a stable sort of 16-bit keys is a radix sort
     edges, cell = [], np.zeros(n, dtype=np.min_scalar_type(max(m, m**d - 1)))
     for j, (lo, hi) in enumerate(zip(data.domain.lo, data.domain.hi)):
-        e = np.linspace(lo, hi, m + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # repaired below
+            e = np.linspace(lo, hi, m + 1)
         e[0], e[-1] = lo, hi
         e = np.fmax.accumulate(np.fmin(e, hi))
         edges.append(e)
-        x = pts[:, j]
-        c = np.zeros(n, dtype=np.intp)
-        if math.isfinite((hi - lo) * m):
-            np.minimum((x - lo) * m / (hi - lo), m - 1, out=c, casting="unsafe")
-        miss = np.flatnonzero((e[c] > x) | (x >= e[c + 1]))
-        c[miss] = np.searchsorted(e, x[miss], side="right") - 1
         cell *= m
-        cell += c.astype(cell.dtype)
+        cell += _grid_bins(pts[:, j], e).astype(cell.dtype)
     order = np.argsort(cell, kind="stable")
     first = np.zeros(m**d + 1, dtype=np.int64)
     np.cumsum(np.bincount(cell, minlength=m**d), out=first[1:])

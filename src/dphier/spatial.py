@@ -29,7 +29,8 @@ import orjson
 
 from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, SplitMask, bfs_relabel
 from .dp_core import biased_count, biased_split, check_tree_links, child_sums, float_texts
-from .dp_core import grow_levels, json_value, laplace_sf, read_json, sample_laplace
+from .dp_core import grow_levels, json_value, laplace_sf, privtree_params, read_json
+from .dp_core import sample_laplace
 from .errors import InputDataError, ParameterError
 
 __all__ = [
@@ -44,12 +45,14 @@ __all__ = [
     "build_privtree",
     "build_simple_tree",
     "build_ug",
+    "check_release_args",
     "load_points_csv",
     "load_tree",
     "load_workload_csv",
     "privtree_split_probabilities",
     "range_count",
     "range_counts",
+    "release_privtree",
     "shape_probability",
     "simulate_privtree_shapes",
     "tree_from_json_dict",
@@ -132,11 +135,7 @@ class RangeQuery:
 
 @dataclass
 class TreeNode:
-    """One region of a decomposition tree.
-
-    ``exact_count`` must never reach a release artifact; :class:`DecompTree`
-    refuses a node list that carries one.
-    """
+    """One region of a decomposition tree."""
 
     id: int
     depth: int
@@ -144,7 +143,6 @@ class TreeNode:
     hi: tuple
     children: list = field(default_factory=list)
     noisy_count: float | None = None
-    exact_count: int | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -159,9 +157,8 @@ class DecompTree:
 
     The nodes are stored as :class:`_Columns` in BFS order, so the root is
     node 0 and every internal node has ``fanout`` children.  ``nodes`` given
-    as :class:`TreeNode` values are refused if one carries an
-    ``exact_count``, else read by :func:`tree_from_json_dict` from the
-    document a file holding them would be.  ``nodes``, ``node(i)`` and
+    as :class:`TreeNode` values are read by :func:`tree_from_json_dict` from
+    the document a file holding them would be.  ``nodes``, ``node(i)`` and
     ``leaves()`` make values on request; writing into one does not change
     the tree.  ``_view`` caches what :func:`range_counts` reads; code that
     changes counts must drop it, as :func:`attach_noisy_counts` does.
@@ -171,8 +168,6 @@ class DecompTree:
         if not (isinstance(fanout, (int, np.integer)) and fanout >= 1):
             raise ParameterError(f"fanout must be an integer >= 1, got {fanout!r}")
         if not isinstance(nodes, _Columns):
-            if any(v.exact_count is not None for v in nodes):
-                raise InputDataError("tree nodes carry exact counts; refusing to store them")
             nodes = tree_from_json_dict(_node_document(nodes, int(fanout), params_info))._cols
         n = np.size(nodes.split)
         shapes = [np.shape(v) for v in (nodes.lo, nodes.hi, nodes.count, nodes.has_count)]
@@ -347,35 +342,48 @@ def _split_geometry(cols: _Columns, shape: SplitMask, parents: np.ndarray):
     return first_hi, (moved << (np.cumsum(moved, axis=1) - moved)).astype(np.int32)
 
 
-def _child_codes(points, items, parent, mids, weights):
+def _child_codes(columns, items, parent, mids, weights):
     """Each item's child code: the weights of the dimensions in which it lies
-    at or above its parent's mid."""
+    at or above its parent's mid.  Row ``j`` of ``columns`` (d x n) holds
+    the items' coordinates in dimension ``j``, and row ``j`` of ``mids`` and
+    ``weights`` (d x P, or d x 1 for a weight every parent shares) each
+    parent's mid and code weight there, so each test gathers from contiguous
+    rows."""
     code = np.zeros(items.size, dtype=np.int32)
-    for j in np.flatnonzero(weights.any(axis=0)):
-        code += (points[items, j] >= mids[parent, j]) * weights[parent, j]
+    for j in np.flatnonzero(weights.any(axis=1)):
+        w = weights[j]
+        upper = columns[j].take(items) >= mids[j].take(parent)
+        code += upper * (w[0] if w.size == 1 else w.take(parent))
     return code
 
 
-def _grow(data: SpatialDataset, dims_per_level: int, rule) -> _Columns:
+def _grow(data: SpatialDataset, dims_per_level: int, rule):
     """Split loop of the recursive builders: ``rule(depth, counts, halvable)``
     decides a whole level from its exact counts, so noise is drawn level by
     level, in BFS order, on one stream.  ``halvable`` marks the nodes whose
     box has its midpoint strictly inside along every dimension split at
     their depth; the rule must split no other.  Child boxes are made a level
     at a time, by parent and then child code (bit j: the upper half along the
-    j-th split dimension), so ids follow BFS order."""
+    j-th split dimension), so ids follow BFS order.
+
+    Returns the columns, without counts, and the exact point count of every
+    node in id order, as the walk found them: the points are partitioned
+    once, down a column copy of their coordinates."""
     d = data.domain.dims
     fanout = 1 << dims_per_level
+    columns = np.ascontiguousarray(data.points.T)
     los, his = [np.array([data.domain.lo])], [np.array([data.domain.hi])]
+    sizes = []
     level_split = None
 
-    def decide(depth, sizes, *_):
+    def decide(depth, level_sizes, *_):
         nonlocal level_split
+        sizes.append(level_sizes)
         lo, hi = los[-1], his[-1]
         with np.errstate(over="ignore"):  # an infinite midpoint is not inside
             mid = (lo + hi) / 2.0
         inside = ((lo < mid) & (mid < hi))[:, list(_dims_for_level(depth, d, dims_per_level))]
-        level_split = np.asarray(rule(depth, sizes, inside.all(axis=1)), dtype=bool)
+        level_split = np.asarray(rule(depth, level_sizes, inside.all(axis=1)), dtype=bool)
         return level_split
 
     def child_codes(depth, items, parent):
@@ -388,13 +396,14 @@ def _grow(data: SpatialDataset, dims_per_level: int, rule) -> _Columns:
         lower = (weights > 0) & ~upper
         los.append(np.where(upper, mid[:, None], lo[:, None]).reshape(-1, d))
         his.append(np.where(lower, mid[:, None], hi[:, None]).reshape(-1, d))
-        return _child_codes(data.points, items, parent, mid, np.broadcast_to(weights, lo.shape))
+        return _child_codes(columns, items, parent, np.ascontiguousarray(mid.T), weights.T)
 
     split = np.concatenate(grow_levels(data.n, fanout, decide, child_codes))
-    return _Columns(
+    cols = _Columns(
         lo=np.concatenate(los), hi=np.concatenate(his), split=split,
         count=np.zeros(split.size), has_count=np.zeros(split.size, dtype=bool),
     )
+    return cols, np.concatenate(sizes)
 
 
 def build_privtree(
@@ -413,8 +422,15 @@ def build_privtree(
     noisy score exceeds ``theta``.  Nodes at ``depth_cap`` never split and
     draw no noise, and so do nodes whose box can no longer be halved (see
     :func:`_grow`).  The returned tree has all point counts removed; attach
-    released counts with :func:`attach_noisy_counts`.
+    released counts with :func:`attach_noisy_counts`, or make the whole
+    release with :func:`release_privtree`.
     """
+    return _privtree(data, params, rng, depth_cap, dims_per_level, noiseless)[0]
+
+
+def _privtree(data, params, rng, depth_cap, dims_per_level, noiseless):
+    """:func:`build_privtree`'s tree and the exact count of each of its
+    nodes, in id order."""
     dims_per_level = _resolve_dims_per_level(data, dims_per_level)
     fanout = 1 << dims_per_level
     if params.beta != fanout:
@@ -428,14 +444,68 @@ def build_privtree(
     def rule(depth, counts, halvable):
         return biased_split(counts, depth, params, rng, halvable & (depth < depth_cap), noiseless)
 
-    cols = _grow(data, dims_per_level, rule)
+    cols, sizes = _grow(data, dims_per_level, rule)
     info = {
         "epsilon": params.epsilon,
         "lambda": params.lam,
         "theta": params.theta,
         "delta": params.delta,
     }
-    return DecompTree(cols, fanout, info)
+    return DecompTree(cols, fanout, info), sizes
+
+
+def check_release_args(epsilon, budget_split, fanout, depth_cap) -> None:
+    """The checks of :func:`release_privtree` that need no data:
+    ParameterError for an epsilon that is not positive, a budget split
+    outside (0, 1), a negative depth cap, or a fanout that is not a power
+    of two >= 2."""
+    if epsilon is None or not epsilon > 0:
+        raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0.0 < budget_split < 1.0:
+        raise ParameterError("budget-split must be in (0, 1)")
+    if depth_cap < 0:
+        raise ParameterError("depth-cap must be nonnegative")
+    if fanout is not None and (fanout < 2 or fanout & (fanout - 1)):
+        raise ParameterError(f"fanout must be a power of two >= 2, got {fanout}")
+
+
+def release_privtree(
+    data: SpatialDataset,
+    epsilon: float,
+    *,
+    budget_split: float = 0.5,
+    fanout: int | None = None,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
+    theta: float = 0.0,
+    seed: int = 0,
+    noiseless: bool = False,
+) -> DecompTree:
+    """A PrivTree release with noisy leaf counts, as ``spatial-build`` makes it.
+
+    ``epsilon * budget_split`` goes to the structure, with the minimum
+    admissible noise scale (:func:`dphier.dp_core.privtree_params`), and the
+    rest to the leaf counts, at Laplace scale ``1 / (epsilon - epsilon *
+    budget_split)``.  ``fanout`` (a power of two, at most ``2**d``; default
+    ``2**d``) sets how many dimensions are halved per level.  The structure
+    draws from the first and the counts from the second stream of
+    ``SeedSequence(seed).spawn(2)``.  The build's own walk gives the leaf
+    counts, so the points are partitioned once; tree, bytes and both streams
+    end as :func:`build_privtree` followed by :func:`attach_noisy_counts`
+    leave them.
+    """
+    check_release_args(epsilon, budget_split, fanout, depth_cap)
+    d = data.domain.dims
+    dims_per_level = d if fanout is None else int(fanout).bit_length() - 1
+    if dims_per_level > d:
+        raise ParameterError(f"fanout {fanout} exceeds 2^d for d={d}")
+    eps_tree = epsilon * budget_split
+    eps_counts = epsilon - eps_tree
+    params = privtree_params(eps_tree, 1 << dims_per_level, theta)
+    if not eps_counts > 0:  # a tiny epsilon's product can round to epsilon
+        raise ParameterError(f"epsilon_counts must be positive, got {eps_counts!r}")
+    rng_tree, rng_counts = (np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2))
+    tree, sizes = _privtree(data, params, rng_tree, depth_cap, dims_per_level, noiseless)
+    return _set_leaf_counts(tree, sizes[~tree._cols.split], eps_counts, rng_counts, noiseless)
 
 
 def build_simple_tree(
@@ -471,7 +541,7 @@ def build_simple_tree(
         noisy.append(c_hat)
         return (c_hat > theta) & (depth < h - 1) & halvable
 
-    cols = _grow(data, d, rule)
+    cols, _ = _grow(data, d, rule)
     cols = cols._replace(count=np.concatenate(noisy), has_count=np.ones(cols.count.size, bool))
     info = {"epsilon": None, "lambda": float(lam), "theta": float(theta), "delta": None}
     return DecompTree(cols, 1 << d, info)
@@ -487,7 +557,10 @@ def build_ug(
     """Uniform-grid synopsis as a depth-1 tree with ``m**d`` leaf cells.
 
     Uses ``m = ceil((n * epsilon / 10) ** (2 / (d + 2)))`` bins per dimension
-    and a per-cell noise scale of ``1 / epsilon``.
+    and a per-cell noise scale of ``1 / epsilon``.  A point counts in the
+    cell of the last edge not above it in each dimension (:func:`_grid_bins`),
+    as ``np.histogramdd`` bins it; the counts are the ``np.bincount`` of the
+    cells' C-order ids.  The domain's width must be finite.
     """
     if not epsilon > 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
@@ -496,9 +569,15 @@ def build_ug(
     if not noiseless and rng is None:
         raise ParameterError("rng is required unless noiseless=True")
     d = data.domain.dims
+    if not all(math.isfinite(b - a) for a, b in zip(data.domain.lo, data.domain.hi)):
+        raise ParameterError("a uniform grid needs a domain of finite width")
     m = max(int(math.ceil((data.n * epsilon / 10.0) ** (2.0 / (d + 2.0)))), 1)
     edges, cell_lo, cell_hi = _grid_cells(data.domain.lo, data.domain.hi, m)
-    counts, _ = np.histogramdd(data.points, bins=edges)
+    cell = np.zeros(data.n, dtype=np.intp)
+    for j, e in enumerate(edges):
+        cell *= m
+        cell += _grid_bins(data.points[:, j], e)
+    counts = np.bincount(cell, minlength=m**d).astype(np.float64).reshape((m,) * d)
     noisy = counts if noiseless else counts + sample_laplace(
         1.0 / epsilon, rng, size=counts.shape
     )
@@ -523,6 +602,7 @@ def _leaf_exact_counts(tree: DecompTree, data: SpatialDataset) -> np.ndarray:
     if tree.domain != data.domain:
         raise InputDataError("tree domain does not match dataset domain")
     cols, shape, bounds = tree._cols, tree._shape, tree._shape.bounds
+    columns = np.ascontiguousarray(data.points.T)
     sizes = np.zeros(cols.split.size, dtype=np.int64)
 
     def decide(depth, level_sizes, *_):
@@ -532,7 +612,8 @@ def _leaf_exact_counts(tree: DecompTree, data: SpatialDataset) -> np.ndarray:
     def child_codes(depth, items, parent):
         a, b = bounds[depth], bounds[depth + 1]
         mids, weights = _split_geometry(cols, shape, a + np.flatnonzero(cols.split[a:b]))
-        return _child_codes(data.points, items, parent, mids, weights)
+        return _child_codes(columns, items, parent, np.ascontiguousarray(mids.T),
+                            np.ascontiguousarray(weights.T))
 
     grow_levels(data.n, tree.fanout, decide, child_codes)
     return sizes[~cols.split]
@@ -558,7 +639,14 @@ def attach_noisy_counts(
         raise ParameterError(f"epsilon_counts must be positive, got {epsilon_counts!r}")
     if not noiseless and rng is None:
         raise ParameterError("rng is required unless noiseless=True")
-    noisy = _leaf_exact_counts(tree, data).astype(np.float64)
+    return _set_leaf_counts(tree, _leaf_exact_counts(tree, data), epsilon_counts, rng, noiseless)
+
+
+def _set_leaf_counts(tree, exact, epsilon_counts, rng, noiseless) -> DecompTree:
+    """``tree``, mutated to carry the leaf counts ``exact`` (in id order)
+    plus one Laplace draw each at scale ``1 / epsilon_counts``, drawn in id
+    order."""
+    noisy = exact.astype(np.float64)
     if not noiseless:
         noisy += sample_laplace(1.0 / epsilon_counts, rng, size=noisy.size)
     cols, leaves = tree._cols, ~tree._cols.split
@@ -859,6 +947,26 @@ def _grid_cells(lo, hi, m: int):
     cell_lo = np.stack([e[c] for e, c in zip(edges, cell)], axis=1)
     cell_hi = np.stack([e[c + 1] for e, c in zip(edges, cell)], axis=1)
     return edges, cell_lo, cell_hi
+
+
+def _grid_bins(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Each value's cell among the ``m = e.size - 1`` cells of the
+    non-decreasing edges ``e``, for values in ``[e[0], e[-1])``: the last
+    edge not above it, so ``x`` lies in ``[e[c], e[c + 1])`` exactly, as a
+    binary search (``np.searchsorted(e, x, side="right") - 1``) finds it.
+
+    Arithmetic guesses it as ``min(floor((x - e[0]) * m / (e[-1] - e[0])),
+    m - 1)``; the guesses that fail ``e[c] <= x < e[c + 1]`` (rounding puts
+    a few values next to an edge one cell off) are replaced by a binary
+    search of the edges, and so are all guesses when the width overflows."""
+    m = e.size - 1
+    lo, hi = float(e[0]), float(e[-1])
+    c = np.zeros(x.size, dtype=np.intp)
+    if math.isfinite((hi - lo) * m):
+        np.minimum((x - lo) * m / (hi - lo), m - 1, out=c, casting="unsafe")
+    miss = np.flatnonzero((e[c] > x) | (x >= e[c + 1]))
+    c[miss] = np.searchsorted(e, x[miss], side="right") - 1
+    return c
 
 
 def _detect_grid(cols: _Columns, fanout: int) -> _Grid | None:

@@ -233,7 +233,6 @@ class TestBuildPrivtree:
     def test_exact_counts_stripped(self, uniform_4096):
         params = privtree_params(1.0, 4, 0.0)
         tree = build_privtree(uniform_4096, params, np.random.default_rng(1))
-        assert all(v.exact_count is None for v in tree.nodes)
         assert all(v.noisy_count is None for v in tree.nodes)
 
 
@@ -405,6 +404,32 @@ class TestUniformGrid:
         with pytest.raises(ParameterError):
             build_ug(SpatialDataset(unit_square, np.empty((0, 2))), 1.0, noiseless=True)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, 1.0), (-3.7, 0.1), (1e-300, 3e-300), (5e-324, 1e-320), (1.0, 1.0 + 2**-40)],
+    )
+    def test_counts_are_those_of_histogramdd(self, lo, hi, d):
+        rng = np.random.default_rng(5)
+        n = 3000
+        domain = SpatialDomain((lo,) * d, (hi,) * d)
+        m = math.ceil((n * 1.0 / 10) ** (2 / (d + 2)))
+        edges = np.linspace(lo, hi, m + 1)
+        u = rng.random((n, d))
+        pts = lo * (1 - u) + hi * u
+        pts[: n // 3] = rng.choice(edges[:-1], size=(n // 3, d))  # on the edges
+        pts[n // 3 : n // 2] = np.nextafter(pts[: n // 6], -np.inf)  # one ulp below them
+        pts = np.clip(pts, lo, np.nextafter(hi, -np.inf))
+        tree = build_ug(SpatialDataset(domain, pts), 1.0, noiseless=True)
+        want, _ = np.histogramdd(pts, bins=[edges] * d)
+        assert tree.fanout == m**d
+        assert np.array_equal(tree._cols.count[1:], want.ravel())
+
+    def test_a_domain_of_overflowing_width_is_refused(self):
+        domain = SpatialDomain((-1e308, 0.0), (1e308, 1.0))
+        with pytest.raises(ParameterError, match="finite width"):
+            build_ug(SpatialDataset(domain, np.zeros((10, 2))), 1.0, noiseless=True)
+
 
 # ---------------------------------------------------------------------------
 # structural invariants
@@ -479,13 +504,6 @@ class TestReleaseHygiene:
         # structure-only release carries no counts at all
         bare = build_privtree(uniform_4096, params, np.random.default_rng(2))
         assert all("noisy_count" not in e for e in bare.to_json_dict()["nodes"])
-
-    def test_serializer_refuses_exact_counts(self, uniform_4096):
-        params = privtree_params(1.0, 4, 0.0)
-        nodes = build_privtree(uniform_4096, params, noiseless=True).nodes
-        nodes[0].exact_count = 4096
-        with pytest.raises(InputDataError, match="exact counts"):
-            DecompTree(nodes, 4)
 
     def test_writing_into_a_node_value_leaves_the_tree_unchanged(self, uniform_4096):
         params = privtree_params(1.0, 4, 0.0)
@@ -1196,6 +1214,106 @@ class TestNoiseDrawOrder:
         tree = build_privtree(uniform_4096, params, rng, depth_cap=0)
         assert len(tree.nodes) == 1
         assert rng.random() == np.random.default_rng(6).random()
+
+
+def midpoint_dataset(d):
+    """Points on the split midpoints of the first levels, and the lower face."""
+    grid = np.array([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875])
+    rng = np.random.default_rng(d)
+    pts = rng.choice(grid, size=(400, d))
+    return SpatialDataset(SpatialDomain((0.0,) * d, (1.0,) * d), pts)
+
+
+RELEASE_CASES = [
+    (d, fanout, cap)
+    for d, fanouts in ((1, [None]), (2, [None, 2]), (4, [None, 2, 4, 8]))
+    for fanout in fanouts
+    for cap in (0, 1, spatial.DEFAULT_DEPTH_CAP)
+]
+
+
+class TestReleasePrivtree:
+    """``release_privtree`` against ``build_privtree`` + ``attach_noisy_counts``
+    on the two streams of ``SeedSequence(seed).spawn(2)``."""
+
+    @staticmethod
+    def reference(data, epsilon, *, budget_split=0.5, fanout=None,
+                  depth_cap=spatial.DEFAULT_DEPTH_CAP, theta=0.0, seed=0, noiseless=False):
+        dims_per_level = data.domain.dims if fanout is None else fanout.bit_length() - 1
+        eps_tree = epsilon * budget_split
+        params = privtree_params(eps_tree, 1 << dims_per_level, theta)
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+        tree = build_privtree(data, params, rngs[0], depth_cap=depth_cap,
+                              dims_per_level=dims_per_level, noiseless=noiseless)
+        attach_noisy_counts(tree, data, epsilon - eps_tree, rngs[1], noiseless=noiseless)
+        return tree, rngs
+
+    @staticmethod
+    def release(monkeypatch, data, epsilon, **kw):
+        """The release and the generators it made."""
+        made, default_rng = [], np.random.default_rng
+
+        def spy(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        tree = spatial.release_privtree(data, epsilon, **kw)
+        monkeypatch.undo()
+        return tree, made
+
+    def assert_same(self, monkeypatch, data, epsilon, **kw):
+        got, got_rngs = self.release(monkeypatch, data, epsilon, **kw)
+        want, want_rngs = self.reference(data, epsilon, **kw)
+        assert_same_release(got, want)
+        assert [g.bit_generator.state for g in got_rngs] == [
+            g.bit_generator.state for g in want_rngs
+        ]
+        return got
+
+    @pytest.mark.parametrize("d, fanout, cap", RELEASE_CASES)
+    def test_same_release_and_streams(self, monkeypatch, d, fanout, cap):
+        data = random_dataset(np.random.default_rng(d), n=2000, d=d)
+        tree = self.assert_same(monkeypatch, data, 1.0, fanout=fanout, depth_cap=cap, seed=d)
+        assert tree.n_nodes == 1 or cap > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_points_on_split_midpoints(self, monkeypatch, d):
+        data = midpoint_dataset(d)
+        for fanout in [None, 2]:
+            self.assert_same(monkeypatch, data, 4.0, fanout=fanout, seed=5, theta=-3.0)
+            tree = spatial.release_privtree(data, 4.0, fanout=fanout, theta=-3.0, noiseless=True)
+            # a point on a mid lies in the upper half
+            assert [v.noisy_count for v in tree.leaves()] == [
+                oracle_count(data.points, v.lo, v.hi) for v in tree.leaves()
+            ]
+
+    def test_noiseless_one_point_and_options(self, monkeypatch):
+        one = SpatialDataset(SpatialDomain((0.0, 0.0), (1.0, 1.0)), np.array([[0.5, 0.25]]))
+        data = random_dataset(np.random.default_rng(9), n=2000)
+        for ds in (one, data):
+            self.assert_same(monkeypatch, ds, 1.0, noiseless=True)
+            self.assert_same(monkeypatch, ds, 2.0, budget_split=0.3, theta=-5.0, seed=11)
+        tree = spatial.release_privtree(one, 1.0, noiseless=True)
+        assert sorted(v.noisy_count for v in tree.leaves()) == [0.0] * 3 + [1.0]
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"epsilon": 0.0}, "epsilon must be positive"),
+            ({"budget_split": 1.0}, "budget-split"),
+            ({"depth_cap": -1}, "depth-cap"),
+            ({"fanout": 3}, "power of two"),
+            ({"fanout": 8}, "exceeds 2"),
+            # 1.5e-323 * 0.9 rounds to 1.5e-323, which leaves nothing for the counts
+            ({"epsilon": 1.5e-323, "budget_split": 0.9}, "epsilon_counts must be positive"),
+        ],
+    )
+    def test_refusals(self, kw, message):
+        data = random_dataset(np.random.default_rng(1), n=10)
+        kw = {"epsilon": 1.0, **kw}
+        with pytest.raises(ParameterError, match=message):
+            spatial.release_privtree(data, kw.pop("epsilon"), **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ import dphier
 from dphier import evalbench, spatial
 from dphier.cli import main
 from dphier.dp_core import float_texts, privtree_params
-from dphier.errors import InputDataError
 from dphier.markov import Alphabet, END_TOKEN, START_TOKEN, Pst, build_private_pst
 from dphier.markov import truncate_sequences
 from dphier.spatial import DecompTree, SpatialDataset, TreeNode
@@ -114,6 +113,27 @@ class TestFloatTexts:
             json.dumps(v) for v in values
         ]
 
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern_as_json_writes_it(self, patterns):
+        values = np.array(patterns, dtype=np.int64).view(np.float64)
+        assert float_texts(values).tolist() == [json.dumps(v) for v in values.tolist()]
+
+    def test_values_at_the_notation_boundaries_as_json_writes_them(self):
+        # repr turns positional at 1e-4 and scientific at 1e16; orjson's
+        # notation differs just outside that range
+        ulps = np.arange(-64, 65)
+        around = []
+        for k in range(-5, 18):
+            bits = np.array([float(f"1e{k}")]).view(np.int64)
+            around.append((bits + ulps).view(np.float64))
+        values = np.concatenate(around)
+        tiny = np.finfo(np.float64).tiny
+        special = np.array([0.0, -0.0, 5e-324, tiny, np.nextafter(tiny, 0.0), math.nan,
+                            math.inf, -math.inf, np.finfo(np.float64).max])
+        values = np.concatenate([values, -values, special, -special])
+        assert float_texts(values).tolist() == [json.dumps(v) for v in values.tolist()]
+
     def test_keeps_the_shape_and_tells_signed_zeros_apart(self):
         got = float_texts(np.array([[-0.0, 0.0], [math.inf, 0.0]]))
         assert got.shape == (2, 2)
@@ -179,14 +199,6 @@ class TestTreeWriter:
         text = DecompTree(nodes, 4).dumps()
         assert '"hi": [1e+16, 1e+22]' in text and '"lo": [-0.0, 1e-07]' in text
         assert '"noisy_count": 5e-324' in text
-
-    def test_exact_counts_are_refused_by_both_forms(self, uniform_4096):
-        tree = spatial.build_privtree(uniform_4096, privtree_params(1.0, 4), noiseless=True)
-        nodes = tree.nodes
-        nodes[0].exact_count = 7
-        with pytest.raises(InputDataError, match="exact counts"):
-            DecompTree(nodes, 4)
-        assert '"exact' not in tree.dumps()
 
 
 # ---------------------------------------------------------------------------
