@@ -17,6 +17,7 @@ import orjson
 from .errors import InputDataError, ParameterError
 
 __all__ = [
+    "Artifact",
     "DEFAULT_DEPTH_CAP",
     "PrivacyParams",
     "SplitMask",
@@ -365,6 +366,19 @@ def float_texts(values) -> np.ndarray:
     if slow.any():
         texts[slow] = json.dumps(distinct[slow].tolist())[1:-1].split(", ")
     return texts[inverse].reshape(values.shape)
+
+
+class Artifact:
+    """A release whose ``dumps()`` text is its document."""
+
+    def to_json_dict(self) -> dict:
+        """The release document as a dict, read back from :meth:`dumps`."""
+        return json.loads(self.dumps())
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(self.dumps())
+            fh.write("\n")
 
 
 def read_json(path, loader):

@@ -38,7 +38,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, SplitMask, bfs_relabel
+from .dp_core import DEFAULT_DEPTH_CAP, Artifact, PrivacyParams, SplitMask, bfs_relabel
 from .dp_core import biased_split, check_tree_links, float_texts, grow_levels, json_value
 from .dp_core import privtree_params, read_json, sample_laplace
 from .errors import GenerationError, InputDataError, ParameterError
@@ -293,7 +293,7 @@ class PstNode:
         return not self.children
 
 
-class Pst:
+class Pst(Artifact):
     """A released PST: its BFS split mask ``split``, held as the
     :class:`dphier.dp_core.SplitMask` ``_shape`` with child order START, then
     the symbols by id, and ``hist``, row ``i`` node ``i``'s next-symbol
@@ -347,10 +347,6 @@ class Pst:
     def nodes(self) -> list:
         return [self.node(i) for i in range(self.split.size)]
 
-    def to_json_dict(self) -> dict:
-        """The release document as a dict, read back from :meth:`dumps`."""
-        return json.loads(self.dumps())
-
     def dumps(self) -> str:
         """The release document: ``json.dumps(doc, sort_keys=True)`` of
         ``{"alphabet", "l_max", "params", "nodes": [{"children", "hist"?,
@@ -384,11 +380,6 @@ class Pst:
             f'"l_max": {json.dumps(self.l_max)}, "nodes": [{nodes}], '
             f'"params": {json.dumps(params, sort_keys=True)}}}'
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
-            fh.write("\n")
 
 
 def _node_document(alphabet: Alphabet, l_max: int, nodes, params_info) -> dict:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 import orjson
 
-from .dp_core import DEFAULT_DEPTH_CAP, PrivacyParams, SplitMask, bfs_relabel
+from .dp_core import DEFAULT_DEPTH_CAP, Artifact, PrivacyParams, SplitMask, bfs_relabel
 from .dp_core import biased_count, biased_split, check_tree_links, child_sums, float_texts
 from .dp_core import grow_levels, json_value, laplace_sf, privtree_params, read_json
 from .dp_core import sample_laplace
@@ -149,7 +149,7 @@ class TreeNode:
         return not self.children
 
 
-class DecompTree:
+class DecompTree(Artifact):
     """A released decomposition: its nodes plus build parameterization.
 
     ``params_info`` carries the four serialized keys (epsilon, lambda, theta,
@@ -157,8 +157,9 @@ class DecompTree:
 
     The nodes are stored as :class:`_Columns` in BFS order, so the root is
     node 0 and every internal node has ``fanout`` children.  ``nodes`` given
-    as :class:`TreeNode` values are read by :func:`tree_from_json_dict` from
-    the document a file holding them would be.  ``nodes``, ``node(i)`` and
+    as :class:`TreeNode` values are read, and their boxes checked, by
+    :func:`tree_from_json_dict` from the document a file holding them would
+    be; columns are taken as they are.  ``nodes``, ``node(i)`` and
     ``leaves()`` make values on request; writing into one does not change
     the tree.  ``_view`` caches what :func:`range_counts` reads; code that
     changes counts must drop it, as :func:`attach_noisy_counts` does.
@@ -214,10 +215,6 @@ class DecompTree:
     def leaves(self):
         return _column_nodes(self._cols, self._shape, np.flatnonzero(~self._cols.split))
 
-    def to_json_dict(self) -> dict:
-        """The release document as a dict, read back from :meth:`dumps`."""
-        return json.loads(self.dumps())
-
     def dumps(self) -> str:
         """The release document: ``json.dumps(doc, sort_keys=True)`` of
         ``{"fanout", "params", "nodes": [{"children", "depth", "hi", "id",
@@ -246,11 +243,6 @@ class DecompTree:
         params = json.dumps({k: self.params_info.get(k) for k in keys}, sort_keys=True)
         nodes = ", ".join([row] * n) % tuple(slots.ravel().tolist())
         return f'{{"fanout": {json.dumps(self.fanout)}, "nodes": [{nodes}], "params": {params}}}'
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps())
-            fh.write("\n")
 
 
 def trees_equal(a: DecompTree, b: DecompTree) -> bool:
@@ -307,15 +299,10 @@ def _column_nodes(cols: _Columns, shape: SplitMask, ids: np.ndarray) -> list:
 
 
 def _dims_for_level(depth: int, d: int, dims_per_level: int) -> tuple:
-    """Dimensions bisected at this depth: all of them, or a round-robin window.
-
-    Always ascending, so child order can be reconstructed from regions alone
-    (see _split_geometry)."""
-    if dims_per_level == d:
-        return tuple(range(d))
-    return tuple(
-        sorted((depth * dims_per_level + j) % d for j in range(dims_per_level))
-    )
+    """Dimensions bisected at this depth: a round-robin window of
+    ``dims_per_level`` of the ``d`` dimensions (all of them when the two are
+    equal), ascending; bit j of a child code is the j-th of them."""
+    return tuple(sorted((depth * dims_per_level + j) % d for j in range(dims_per_level)))
 
 
 def _resolve_dims_per_level(data: SpatialDataset, dims_per_level):
@@ -329,42 +316,16 @@ def _resolve_dims_per_level(data: SpatialDataset, dims_per_level):
     return int(dims_per_level)
 
 
-def _split_geometry(cols: _Columns, shape: SplitMask, parents: np.ndarray):
-    """(mids, code weights) of each parent's split, read from its first child:
-    the lower half along every dimension where its box differs from the
-    parent's.  Codes carry one bit per split dimension, in ascending order."""
-    lo, hi, fanout = cols.lo[parents], cols.hi[parents], shape.fanout
-    first = shape.kids[shape.rank[parents], 0]
-    first_lo, first_hi = cols.lo[first], cols.hi[first]
-    moved = (first_lo != lo) | (first_hi != hi)
-    if (fanout != 1 << moved.sum(axis=1)).any() or (moved & (first_lo != lo)).any():
-        raise InputDataError("tree children do not form a recognized bisection")
-    return first_hi, (moved << (np.cumsum(moved, axis=1) - moved)).astype(np.int32)
-
-
-def _child_codes(columns, items, parent, mids, weights):
-    """Each item's child code: the weights of the dimensions in which it lies
-    at or above its parent's mid.  Row ``j`` of ``columns`` (d x n) holds
-    the items' coordinates in dimension ``j``, and row ``j`` of ``mids`` and
-    ``weights`` (d x P, or d x 1 for a weight every parent shares) each
-    parent's mid and code weight there, so each test gathers from contiguous
-    rows."""
-    code = np.zeros(items.size, dtype=np.int32)
-    for j in np.flatnonzero(weights.any(axis=1)):
-        w = weights[j]
-        upper = columns[j].take(items) >= mids[j].take(parent)
-        code += upper * (w[0] if w.size == 1 else w.take(parent))
-    return code
-
-
 def _grow(data: SpatialDataset, dims_per_level: int, rule):
-    """Split loop of the recursive builders: ``rule(depth, counts, halvable)``
-    decides a whole level from its exact counts, so noise is drawn level by
-    level, in BFS order, on one stream.  ``halvable`` marks the nodes whose
-    box has its midpoint strictly inside along every dimension split at
-    their depth; the rule must split no other.  Child boxes are made a level
-    at a time, by parent and then child code (bit j: the upper half along the
-    j-th split dimension), so ids follow BFS order.
+    """The one walk over a spatial tree's geometry: the builders' split loop,
+    and the replay of a stored split mask (:func:`_leaf_exact_counts`).
+    ``rule(depth, counts, halvable)`` decides a whole level from its exact
+    counts, so noise is drawn level by level, in BFS order, on one stream.
+    ``halvable`` marks the nodes whose box has its midpoint strictly inside
+    along every dimension split at their depth; the rule must split no
+    other.  Child boxes are made a level at a time, by parent and then child
+    code (bit j: the upper half along the j-th split dimension), so ids
+    follow BFS order.
 
     Returns the columns, without counts, and the exact point count of every
     node in id order, as the walk found them: the points are partitioned
@@ -373,30 +334,33 @@ def _grow(data: SpatialDataset, dims_per_level: int, rule):
     fanout = 1 << dims_per_level
     columns = np.ascontiguousarray(data.points.T)
     los, his = [np.array([data.domain.lo])], [np.array([data.domain.hi])]
-    sizes = []
-    level_split = None
+    sizes, level = [], None
 
     def decide(depth, level_sizes, *_):
-        nonlocal level_split
+        nonlocal level
         sizes.append(level_sizes)
         lo, hi = los[-1], his[-1]
         with np.errstate(over="ignore"):  # an infinite midpoint is not inside
             mid = (lo + hi) / 2.0
-        inside = ((lo < mid) & (mid < hi))[:, list(_dims_for_level(depth, d, dims_per_level))]
-        level_split = np.asarray(rule(depth, level_sizes, inside.all(axis=1)), dtype=bool)
-        return level_split
+        dims = list(_dims_for_level(depth, d, dims_per_level))
+        inside = ((lo < mid) & (mid < hi))[:, dims].all(axis=1)
+        split = np.asarray(rule(depth, level_sizes, inside), dtype=bool)
+        level = lo[split], hi[split], mid[split], dims
+        return split
 
     def child_codes(depth, items, parent):
-        lo, hi = los[-1][level_split], his[-1][level_split]
-        mid = (lo + hi) / 2.0
-        dims = list(_dims_for_level(depth, d, dims_per_level))
-        weights = np.zeros((1, d), dtype=np.int32)
-        weights[0, dims] = 1 << np.arange(dims_per_level)
+        lo, hi, mid, dims = level
+        weights = np.zeros(d, dtype=np.int32)
+        weights[dims] = 1 << np.arange(dims_per_level)
         upper = (np.arange(fanout)[:, None] & weights) > 0  # fanout x d
         lower = (weights > 0) & ~upper
         los.append(np.where(upper, mid[:, None], lo[:, None]).reshape(-1, d))
         his.append(np.where(lower, mid[:, None], hi[:, None]).reshape(-1, d))
-        return _child_codes(columns, items, parent, np.ascontiguousarray(mid.T), weights.T)
+        mids = np.ascontiguousarray(mid.T)  # so each test gathers from contiguous rows
+        code = np.zeros(items.size, dtype=np.int32)
+        for dim in dims:
+            code += (columns[dim].take(items) >= mids[dim].take(parent)) * weights[dim]
+        return code
 
     split = np.concatenate(grow_levels(data.n, fanout, decide, child_codes))
     cols = _Columns(
@@ -559,8 +523,8 @@ def build_ug(
     Uses ``m = ceil((n * epsilon / 10) ** (2 / (d + 2)))`` bins per dimension
     and a per-cell noise scale of ``1 / epsilon``.  A point counts in the
     cell of the last edge not above it in each dimension (:func:`_grid_bins`),
-    as ``np.histogramdd`` bins it; the counts are the ``np.bincount`` of the
-    cells' C-order ids.  The domain's width must be finite.
+    as ``np.histogramdd`` bins it (:func:`_grid_counts`).  The domain's
+    width must be finite.
     """
     if not epsilon > 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
@@ -572,23 +536,12 @@ def build_ug(
     if not all(math.isfinite(b - a) for a, b in zip(data.domain.lo, data.domain.hi)):
         raise ParameterError("a uniform grid needs a domain of finite width")
     m = max(int(math.ceil((data.n * epsilon / 10.0) ** (2.0 / (d + 2.0)))), 1)
-    edges, cell_lo, cell_hi = _grid_cells(data.domain.lo, data.domain.hi, m)
-    cell = np.zeros(data.n, dtype=np.intp)
-    for j, e in enumerate(edges):
-        cell *= m
-        cell += _grid_bins(data.points[:, j], e)
-    counts = np.bincount(cell, minlength=m**d).astype(np.float64).reshape((m,) * d)
-    noisy = counts if noiseless else counts + sample_laplace(
-        1.0 / epsilon, rng, size=counts.shape
-    )
-    cells = m**d
-    cols = _Columns(
-        lo=np.vstack([data.domain.lo, cell_lo]), hi=np.vstack([data.domain.hi, cell_hi]),
-        split=np.arange(cells + 1) == 0,
-        count=np.append(0.0, noisy), has_count=np.arange(cells + 1) > 0,
-    )
+    edges, lo, hi = _grid_cells(data.domain.lo, data.domain.hi, m)
+    split = np.arange(m**d + 1) == 0
+    cols = _Columns(lo, hi, split, np.zeros(split.size), np.zeros(split.size, dtype=bool))
     info = {"epsilon": float(epsilon), "lambda": 1.0 / epsilon, "theta": None, "delta": None}
-    return DecompTree(cols, cells, info)
+    counts = _grid_counts(data.points, edges)
+    return _set_leaf_counts(DecompTree(cols, m**d, info), counts, epsilon, rng, noiseless)
 
 
 # ---------------------------------------------------------------------------
@@ -596,26 +549,43 @@ def build_ug(
 # ---------------------------------------------------------------------------
 
 
-def _leaf_exact_counts(tree: DecompTree, data: SpatialDataset) -> np.ndarray:
-    """Exact point count of every leaf, in id order, from one level-by-level
-    partition of the points down the tree."""
+def _leaf_exact_counts(tree: DecompTree, data: SpatialDataset, ids=None) -> np.ndarray:
+    """Exact point count of every leaf, in id order, in the boxes that the
+    split mask derives from the root box: a uniform grid's cells
+    (:func:`_grid_boxes`), binned as :func:`build_ug` bins, or else the
+    halves that :func:`_grow`'s replay of the mask makes, ``log2(fanout)``
+    dimensions per level (a 2x2 grid fits both).  InputDataError, naming
+    node ``i`` as ``ids[i]`` (default ``i``), at a split tree that neither
+    halves nor is a grid, at a split of a box that cannot be halved, else at
+    the first node whose box is not derived."""
     if tree.domain != data.domain:
         raise InputDataError("tree domain does not match dataset domain")
-    cols, shape, bounds = tree._cols, tree._shape, tree._shape.bounds
-    columns = np.ascontiguousarray(data.points.T)
-    sizes = np.zeros(cols.split.size, dtype=np.int64)
+    cols, bounds, d, fanout = tree._cols, tree._shape.bounds, tree.dims, tree.fanout
+    ids = range(cols.split.size) if ids is None else ids
 
-    def decide(depth, level_sizes, *_):
-        sizes[bounds[depth] : bounds[depth + 1]] = level_sizes
-        return cols.split[bounds[depth] : bounds[depth + 1]]
+    def rule(depth, counts, halvable):
+        level = cols.split[bounds[depth] : bounds[depth + 1]]
+        bad = np.flatnonzero(level & ~halvable)
+        if bad.size:
+            nid = ids[bounds[depth] + bad[0]]
+            raise InputDataError(f"node {nid} splits a box that cannot be halved")
+        return level
 
-    def child_codes(depth, items, parent):
-        a, b = bounds[depth], bounds[depth + 1]
-        mids, weights = _split_geometry(cols, shape, a + np.flatnonzero(cols.split[a:b]))
-        return _child_codes(columns, items, parent, np.ascontiguousarray(mids.T),
-                            np.ascontiguousarray(weights.T))
-
-    grow_levels(data.n, tree.fanout, decide, child_codes)
+    grid = _grid_boxes(cols, fanout)
+    k = fanout.bit_length() - 1
+    halves = fanout == 1 << k and k <= d
+    if grid is not None and not (halves and _wrong_boxes(cols, *grid[1:]).size):
+        (lo, hi), sizes = grid[1:], np.append(data.n, _grid_counts(data.points, grid[0]))
+    elif cols.split[0] and not halves:
+        raise InputDataError(f"node {ids[0]}: a tree of fanout {fanout} in {d} dimensions must "
+                             f"be a uniform grid of depth 1 (halving makes 2^k, k <= {d})")
+    else:
+        derived, sizes = _grow(data, min(k, d), rule)  # k > d only at a lone root
+        lo, hi = derived.lo, derived.hi
+    wrong = _wrong_boxes(cols, lo, hi)
+    if wrong.size:
+        raise InputDataError(f"node {ids[wrong[0]]}: lo and hi are not the box that the "
+                             "split mask derives from the root box")
     return sizes[~cols.split]
 
 
@@ -680,7 +650,8 @@ class _TreeArrays:
     @classmethod
     def from_columns(cls, cols: _Columns, shape: SplitMask) -> _TreeArrays:
         lo, hi = cols.lo.T, cols.hi.T
-        neg_width = lo - hi
+        with np.errstate(over="ignore"):
+            neg_width = lo - hi
         if not np.isfinite(neg_width).all():
             raise InputDataError("every region must have a finite width")
         count = _column_sums(cols, shape)
@@ -914,8 +885,10 @@ def _raise_first_defect(raw: list):
 
 def tree_from_json_dict(doc: dict) -> DecompTree:
     """A tree from its document, whose links form one tree, each child one
-    level below its parent and each internal node with ``fanout`` children;
-    ids are relabelled to BFS order, children in listed order (a writer's are)."""
+    level below its parent and each internal node with ``fanout`` children,
+    and whose boxes are the ones its split mask derives from the root box
+    (:func:`_leaf_exact_counts` checks them, with no points); ids are
+    relabelled to BFS order, children in listed order (a writer's are)."""
     try:
         fanout, params_info, raw_nodes = (
             json_value(doc[key], kind, key)
@@ -930,7 +903,14 @@ def tree_from_json_dict(doc: dict) -> DecompTree:
     check_tree_links(len(raw_nodes), root, parents, kids, depth[kids] == depth[parents] + 1)
     order, split = bfs_relabel(root, n_kids, kids, fanout, "tree")
     lo, hi, count, has_count = (v[at[order]] for v in values)
-    return DecompTree(_Columns(lo, hi, split, count, has_count), fanout, dict(params_info))
+    tree = DecompTree(_Columns(lo, hi, split, count, has_count), fanout, dict(params_info))
+    _leaf_exact_counts(tree, SpatialDataset(tree.domain, np.empty((0, tree.dims))), order)
+    return tree
+
+
+def _wrong_boxes(cols: _Columns, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The ids of the nodes whose stored box is not ``[lo, hi)``, bit for bit."""
+    return np.flatnonzero(((cols.lo != lo) | (cols.hi != hi)).any(axis=1))
 
 
 def load_tree(path) -> DecompTree:
@@ -939,14 +919,36 @@ def load_tree(path) -> DecompTree:
 
 def _grid_cells(lo, hi, m: int):
     """The ``linspace`` edges of the grid with ``m`` cells per side over the
-    box ``[lo, hi)``, and the ``lo`` and ``hi`` of its cells (m**d x d), in
-    C order."""
+    box ``[lo, hi)``, and the ``lo`` and ``hi`` of the box and then of its
+    cells in C order ((1 + m**d) x d), as a grid tree's columns hold them."""
     d = len(lo)
-    edges = [np.linspace(lo[j], hi[j], m + 1) for j in range(d)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a width that overflows
+        edges = [np.linspace(lo[j], hi[j], m + 1) for j in range(d)]
     cell = np.indices((m,) * d).reshape(d, -1)
     cell_lo = np.stack([e[c] for e, c in zip(edges, cell)], axis=1)
     cell_hi = np.stack([e[c + 1] for e, c in zip(edges, cell)], axis=1)
-    return edges, cell_lo, cell_hi
+    return edges, np.vstack([lo, cell_lo]), np.vstack([hi, cell_hi])
+
+
+def _grid_boxes(cols: _Columns, fanout: int):
+    """:func:`_grid_cells` over the root, when the tree has the shape of a
+    uniform grid: depth 1, with ``fanout == m**d`` children.  Else None."""
+    d = cols.lo.shape[1]
+    m = round(fanout ** (1.0 / d))
+    if not cols.split[0] or cols.split.size != fanout + 1 or m**d != fanout:
+        return None
+    return _grid_cells(cols.lo[0], cols.hi[0], m)
+
+
+def _grid_counts(points: np.ndarray, edges: list) -> np.ndarray:
+    """The number of ``points`` in each cell of the grid with these edges,
+    in C order, each point in the cell that :func:`_grid_bins` finds."""
+    m = edges[0].size - 1
+    cell = np.zeros(len(points), dtype=np.intp)
+    for j, e in enumerate(edges):
+        cell *= m
+        cell += _grid_bins(points[:, j], e)
+    return np.bincount(cell, minlength=m ** len(edges))
 
 
 def _grid_bins(x: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -970,18 +972,12 @@ def _grid_bins(x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def _detect_grid(cols: _Columns, fanout: int) -> _Grid | None:
-    """The view of a uniform grid, else None: a root whose ``fanout == m**d``
-    children, all leaves with counts, are the only other nodes and are the
-    cells of :func:`_grid_cells` over the root, in C order."""
-    d = cols.lo.shape[1]
-    m = round(fanout ** (1.0 / d))
-    if not cols.split[0] or cols.split.size != fanout + 1 or m**d != fanout:
+    """The view of a uniform grid, else None: the root's only children are
+    the cells of :func:`_grid_boxes`, all with counts."""
+    grid = _grid_boxes(cols, fanout)
+    if grid is None or _wrong_boxes(cols, *grid[1:]).size or not cols.has_count[1:].all():
         return None
-    edges, cell_lo, cell_hi = _grid_cells(cols.lo[0], cols.hi[0], m)
-    cells = (cols.lo[1:] == cell_lo).all() and (cols.hi[1:] == cell_hi).all()
-    if not (cells and cols.has_count[1:].all()):
-        return None
-    return _Grid(edges, cols.count[1:].reshape((m,) * d))
+    return _Grid(grid[0], cols.count[1:].reshape([e.size - 1 for e in grid[0]]))
 
 
 def _parse_csv_floats(path, expected_fields=None):
@@ -1174,16 +1170,13 @@ def simulate_privtree_shapes(
         )
     b, parents, _ = _decision_scores(data, params, depth_cap, dims_per_level)
     noise = sample_laplace(params.lam, rng, size=(runs, ndec))
-    raw_split = (b[None, :] + noise) > params.theta
-    eff = np.empty_like(raw_split)
-    masks = np.zeros(runs, dtype=np.int64)
-    for i in range(ndec):
-        if parents[i] < 0:
-            eff[:, i] = raw_split[:, i]
-        else:
-            eff[:, i] = raw_split[:, i] & eff[:, parents[i]]
-        masks |= eff[:, i].astype(np.int64) << i
-    return masks
+    split = (b[None, :] + noise) > params.theta
+    start = 1  # a level at a time: a node splits only if its parent does
+    while start < ndec:
+        stop = start * fanout + 1
+        split[:, start:stop] &= split[:, parents[start:stop]]
+        start = stop
+    return (split << np.arange(ndec)).sum(axis=1)
 
 
 def shape_probability(mask: int, probs: np.ndarray, parents: np.ndarray) -> float:
