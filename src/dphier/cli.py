@@ -363,15 +363,16 @@ def cmd_svt_audit(**kw):
         lam=kw["lam"], theta=kw["theta"], k=kw["k"], jobs=kw["jobs"], variant=variant
     )
     if kw["fmt"] == "table":
+        width = max([len("scenario")] + [len(r["scenario"]) for r in rows])
         head = (
-            f"{'variant':<10} {'scenario':<28} {'k':>4} {'lambda':>7} "
-            f"{'t':>3} {'log_ratio':>12} {'bound':>8} verdict"
+            f"{'variant':<10} {'scenario':<{width}} {'k':>4} {'lambda':>7} "
+            f"{'t':>4} {'log_ratio':>12} {'bound':>8} verdict"
         )
         lines = [head, "-" * len(head)]
         for r in rows:
             lines.append(
-                f"{r['variant']:<10} {r['scenario']:<28} {r['k']:>4} "
-                f"{r['lambda']:>7.3f} {str(r['t']):>3} {r['log_ratio']:>12.6f} "
+                f"{r['variant']:<10} {r['scenario']:<{width}} {r['k']:>4} "
+                f"{r['lambda']:>7.3f} {str(r['t']):>4} {r['log_ratio']:>12.6f} "
                 f"{r['claimed_bound']:>8.3f} {r['verdict']}"
             )
         _write_text(kw["output_path"], "\n".join(lines))

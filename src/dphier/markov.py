@@ -72,7 +72,10 @@ END_ID = 1
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered symbol set; ids are dense with START=0, END=1, symbols from 2."""
+    """Ordered symbol set and its token table, built once: id 0 is the start
+    marker ``$``, id 1 the end marker ``&`` and the symbols follow from id 2
+    in order.  ``_tokens`` lists the tokens by id, ``_ids`` maps each token
+    to its id, and ``symbol_ids`` holds the symbols' ids."""
 
     symbols: tuple
 
@@ -87,9 +90,10 @@ class Alphabet:
             raise ParameterError(
                 f"{START_TOKEN!r} and {END_TOKEN!r} are reserved tokens"
             )
-        object.__setattr__(
-            self, "_ids", {s: i + 2 for i, s in enumerate(symbols)}
-        )
+        tokens = (START_TOKEN, END_TOKEN, *symbols)
+        object.__setattr__(self, "_tokens", tokens)
+        object.__setattr__(self, "_ids", {t: i for i, t in enumerate(tokens)})
+        object.__setattr__(self, "symbol_ids", tuple(range(2, len(tokens))))
 
     @property
     def size(self) -> int:
@@ -101,29 +105,15 @@ class Alphabet:
         return len(self.symbols) + 1
 
     def id_of(self, token: str) -> int:
-        if token == START_TOKEN:
-            return START_ID
-        if token == END_TOKEN:
-            return END_ID
         try:
             return self._ids[token]
         except KeyError:
             raise InputDataError(f"unknown symbol {token!r}") from None
 
     def token_of(self, sym_id: int) -> str:
-        if sym_id == START_ID:
-            return START_TOKEN
-        if sym_id == END_ID:
-            return END_TOKEN
-        idx = sym_id - 2
-        if not 0 <= idx < len(self.symbols):
+        if not 0 <= sym_id < len(self._tokens):
             raise InputDataError(f"unknown symbol id {sym_id}")
-        return self.symbols[idx]
-
-    @property
-    def symbol_ids(self) -> tuple:
-        """Ids of the plain symbols (excluding START and END)."""
-        return tuple(range(2, len(self.symbols) + 2))
+        return self._tokens[sym_id]
 
 
 def _check_l_max(l_max) -> None:
@@ -199,7 +189,7 @@ def _encode(tokens, count: int, alphabet: Alphabet | None):
             raise ParameterError("cannot infer an alphabet from empty input")
         alphabet = Alphabet(tuple(index))
         return ids + 2, alphabet  # symbol ids start at 2
-    code = {START_TOKEN: START_ID, END_TOKEN: END_ID, **alphabet._ids}.__getitem__
+    code = alphabet._ids.__getitem__
     try:
         return np.fromiter(map(code, tokens), dtype=np.int32, count=count), alphabet
     except TypeError:
@@ -302,8 +292,9 @@ class Pst(Artifact):
     ``s`` (-1 if none), and on first use ``preds[i]``, its predictor.
     ``nodes`` given as :class:`PstNode` values are read by
     :func:`pst_from_json_dict` from the document a file holding them would
-    be.  ``node(i)`` and ``nodes`` build values whose ``hist`` is a row view
-    of the matrix.  ``_reader`` caches the context automaton."""
+    be.  A node whose predictor starts with START (a child of code 0) may not
+    split.  ``node(i)`` and ``nodes`` build values whose ``hist`` is a row
+    view of the matrix.  ``_reader`` caches the context automaton."""
 
     def __init__(self, alphabet: Alphabet, l_max: int, *, nodes=None, split=None, hist=None,
                  params: PrivacyParams | None = None, params_info: dict | None = None):
@@ -314,6 +305,12 @@ class Pst(Artifact):
         self._syms = (START_ID, *alphabet.symbol_ids)  # child code c prepends _syms[c]
         self._shape = SplitMask(split, len(self._syms))
         self.split, n = self._shape.split, self._shape.split.size
+        heads = self._shape.kids[:, 0]  # code-0 children: their predictors start with START
+        blocked = heads[self.split[heads]]
+        if blocked.size:
+            raise ParameterError(
+                f"node {blocked[0]}: its predictor starts with {START_TOKEN!r}, so it may not split"
+            )
         if hist is not None and np.shape(hist) != (n, alphabet.size + 2):
             raise ParameterError(
                 f"hist has shape {np.shape(hist)}, but {n} nodes over {alphabet.size + 2} "
@@ -353,7 +350,7 @@ class Pst(Artifact):
         "id", "predictor"}]}``, written row by row from the columns; it
         defines the format.  Children and histograms are keyed by token, and
         a histogram has no START count."""
-        token = (START_TOKEN, END_TOKEN, *self.alphabet.symbols)
+        token = self.alphabet._tokens
         quoted = [encode_basestring_ascii(t) for t in token]
         by_token = sorted(range(len(token)), key=token.__getitem__)  # symbol ids
         n, listed = self.split.size, [sym for sym in by_token if sym != END_ID]
@@ -386,7 +383,7 @@ def _node_document(alphabet: Alphabet, l_max: int, nodes, params_info) -> dict:
     """The PST document of a list of :class:`PstNode` values, ids and counts
     (NumPy values too) made the JSON values a file would hold; a histogram's
     START count is written only when it is not 0, which the reader refuses."""
-    tokens, entries = (START_TOKEN, END_TOKEN, *alphabet.symbols), []
+    tokens, entries = alphabet._tokens, []
     for v in nodes:
         children = {alphabet.token_of(s): np.asarray(c).tolist() for s, c in v.children.items()}
         entries.append({"id": np.asarray(v.id).tolist(), "children": children,
@@ -787,7 +784,7 @@ def generate_sequences(pst: Pst, count: int, rng: np.random.Generator):
     reader = _automaton(pst)
     start = reader.step(reader.empty, START_ID)
     picks = (END_ID, *pst.alphabet.symbol_ids, END_ID)
-    tokens = (START_TOKEN, END_TOKEN, *pst.alphabet.symbols)
+    tokens = pst.alphabet._tokens
     # read ahead from a copy; the caller's generator only moves by what is used
     ahead = copy.deepcopy(rng)
     block, pos, used = [], 0, 0

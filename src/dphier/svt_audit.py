@@ -521,7 +521,6 @@ def run_default_audit(
     lam: float = 2.0,
     theta: float = 1.0,
     k: int = 16,
-    t: int = 1,
     jobs: int = 1,
     variant: str = "all",
 ):
@@ -529,8 +528,7 @@ def run_default_audit(
 
     ``variant`` is ``"all"`` (binary, vanilla and improved rows, in that
     order) or one of those names, in which case only that variant's rows are
-    computed.  The battery fixes the answer budget ``t`` per scenario, so
-    ``t`` must be 1.  Each distinct improved-variant event is integrated once
+    computed.  Each distinct improved-variant event is integrated once
     and serves every row that needs it; with ``jobs > 1`` those quadratures
     run in that many worker processes.  Returns one report row per scenario:
     ``{variant, scenario, k, lambda, theta, t, log_ratio, claimed_bound,
@@ -542,10 +540,6 @@ def run_default_audit(
         raise ParameterError(f"lam must be positive and finite, got {lam!r}")
     if not math.isfinite(theta):
         raise ParameterError(f"theta must be finite, got {theta!r}")
-    if t != 1:
-        raise ParameterError(
-            f"the default battery fixes t per scenario; t must be 1, got {t!r}"
-        )
     if variant not in ("all", "binary", "vanilla", "improved"):
         raise ParameterError(
             f"unknown variant {variant!r}; expected all, binary, vanilla or improved"

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from dphier import cli, markov, svt_audit
 from dphier.cli import main
+from dphier.errors import QuadratureError
 
 
 @pytest.fixture()
@@ -580,6 +581,22 @@ class TestSvtAuditCommand:
         assert res.exit_code == 0
         assert "VIOLATES" in res.output and "improved" not in res.output
 
+    def test_table_columns_line_up(self, runner):
+        # the vanilla scenario's name is longer than the others, and the
+        # binary row's t is None
+        args = ["svt-audit", "--k", "16", "--lambda", "2"]
+        rows = json.loads(runner.invoke(main, args).output)
+        res = runner.invoke(main, [*args, "--format", "table"])
+        assert res.exit_code == 0, res.output
+        head, _, *lines = res.output.splitlines()
+        assert len(lines) == len(rows)
+        for label in (" k ", " lambda ", " t ", " log_ratio ", " bound "):
+            end = head.index(label) + len(label) - 1  # a value ends where its label does
+            for line in lines:
+                assert line[end - 1] != " " and line[end] == " ", (label, line)
+        k_end = head.index(" k ") + 2
+        assert [line[:k_end].split()[-1] for line in lines] == [str(r["k"]) for r in rows]
+
     def test_odd_k_only_for_vanilla(self, runner):
         res = runner.invoke(main, ["svt-audit", "--variant", "vanilla", "--k", "7"])
         assert res.exit_code == 0, res.output
@@ -663,6 +680,78 @@ class TestLoadValidation:
         )
         assert res.exit_code == 2, res.output
         assert "node entry 1: field 'hi'" in res.output and "'x'" in res.output
+
+
+class TestRefusalExitCodes:
+    """Each refusal the commands map to an exit code, one case each."""
+
+    def test_missing_artifact_file_exits_2(self, runner, tmp_path):
+        wl = tmp_path / "wl.csv"
+        wl.write_text("0,0,1,1\n")
+        missing = str(tmp_path / "missing.json")
+        for args in (["range-query", "--tree", missing, "--workload", str(wl)],
+                     ["seq-topk", "--pst", missing, "--k", "1"]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 2, res.output
+            assert "No such file or directory" in res.output
+
+    def test_quadrature_error_exits_3(self, runner, monkeypatch):
+        def fail(**kwargs):
+            raise QuadratureError("event probability underflowed to 0.0")
+
+        monkeypatch.setattr(svt_audit, "run_default_audit", fail)
+        res = runner.invoke(main, ["svt-audit"])
+        assert res.exit_code == 3
+        assert "error: event probability underflowed" in res.output
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "invalid config JSON"),
+        ("[1, 2]", "config must be a JSON object"),
+    ])
+    def test_config_that_is_not_a_json_object_exits_1(self, runner, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        res = runner.invoke(main, ["svt-audit", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert message in res.output
+
+    def test_non_numeric_domain_bound_exits_1(self, runner, tmp_path, points_csv):
+        res, out = build_tree(runner, tmp_path, points_csv, "--domain-lo", "0,x")
+        assert res.exit_code == 1
+        assert "domain-lo must be comma-separated numbers" in res.output
+        assert not out.exists()
+
+    def test_seq_build_zero_epsilon_exits_1(self, runner, tmp_path, sequences_txt):
+        out = tmp_path / "pst.json"
+        res = runner.invoke(main, ["seq-build", "--input", str(sequences_txt), "--output",
+                                   str(out), "--epsilon", "0", "--lmax", "4"])
+        assert res.exit_code == 1
+        assert "epsilon must be positive, got 0.0" in res.output
+        assert not out.exists()
+
+    def test_seq_synth_negative_count_exits_1(self, runner, tmp_path, sequences_txt):
+        pst = tmp_path / "pst.json"
+        assert TestSequenceCommands().build_pst(runner, tmp_path, sequences_txt)[0].exit_code == 0
+        res = runner.invoke(main, ["seq-synth", "--pst", str(pst), "--count", "-1"])
+        assert res.exit_code == 1
+        assert "count must be nonnegative" in res.output
+
+    def test_points_file_without_points_exits_2(self, runner, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# x,y\n")
+        res, out = build_tree(runner, tmp_path, empty)
+        assert res.exit_code == 2
+        assert "no points found" in res.output
+        assert not out.exists()
+
+    def test_records_file_without_records_exits_2(self, runner, tmp_path):
+        empty, out = tmp_path / "empty.txt", tmp_path / "pst.json"
+        empty.write_text("# no records\n\n")
+        res = runner.invoke(main, ["seq-build", "--input", str(empty), "--output", str(out),
+                                   "--epsilon", "1", "--lmax", "4"])
+        assert res.exit_code == 2
+        assert "no sequences found" in res.output
+        assert not out.exists()
 
 
 def refuse_pool(*args, **kwargs):

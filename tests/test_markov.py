@@ -921,13 +921,14 @@ def outcome(fn, *args):
 
 
 def hand_made_pst(draw, l_max):
-    """A PST over {A, B} of up to 10 nodes, any of which may split, with
-    counts that may be zero, negative or missing from the fold (START slot).
-    It is made from columns, since the reader refuses such counts."""
+    """A PST over {A, B} of up to 10 nodes, any of which but a code-0 child
+    (its predictor starts with START) may split, with counts that may be
+    zero, negative or missing from the fold (START slot).  It is made from
+    columns, since the reader refuses such counts."""
     alpha = Alphabet(("A", "B"))
     split, n = [], 1
-    while len(split) < n:
-        split.append(n < 10 and draw(st.booleans()))
+    while len(split) < n:  # node i is a code-0 child when i % 3 == 1
+        split.append(n < 10 and len(split) % 3 != 1 and draw(st.booleans()))
         n += 3 * split[-1]
     count = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.0, -1.0])
     hist = np.array(

@@ -377,6 +377,20 @@ def test_a_pst_node_after_the_start_marker_may_not_split(tmp_path):
     assert res.exit_code == 2 and message in res.output, res.output
 
 
+def test_the_pst_columns_refuse_a_split_after_the_start_marker():
+    alpha, hist = markov.Alphabet(("A", "B")), np.ones((7, 4))
+    message = "node 1: its predictor starts with '$', so it may not split"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        markov.Pst(alpha, 4, split=[True, True] + [False] * 5, hist=hist)
+    pst = markov.Pst(alpha, 4, split=[True, False, True] + [False] * 4, hist=hist)
+    assert markov.pst_from_json_dict(json.loads(pst.dumps())).dumps() == pst.dumps()
+
+
+def test_a_pst_mask_must_hold_the_nodes_it_implies():
+    with pytest.raises(ParameterError, match="a split mask of 1 nodes implies 4"):
+        markov.Pst(markov.Alphabet(("A", "B")), 4, split=[True])
+
+
 def test_constructors_refuse_columns_of_another_node_count():
     with pytest.raises(ParameterError, match=re.escape("hist has shape (5, 3), but 1 nodes")):
         markov.Pst(markov.Alphabet(("A",)), 3, split=[False], hist=np.ones((5, 3)))

@@ -1556,7 +1556,8 @@ def reference_tree_from_json_dict(doc):
     checks marked "added" make every value have the JSON type of the
     format, a depth lie in [0, n), an internal node have ``fanout``
     children and every box be the one the split mask derives; the nodes are
-    relabelled to BFS order, children in listed order (added)."""
+    relabelled to BFS order, children in listed order, and the result is
+    made from columns, never from the loader under test (added)."""
     try:
         fanout = int(of_type(doc["fanout"], int, "fanout"))  # added: of_type
         params_info = dict(of_type(doc["params"], dict, "params"))  # added: of_type
@@ -1637,7 +1638,15 @@ def reference_tree_from_json_dict(doc):
         for k, v in enumerate(nodes[old] for old in bfs)
     ]
     reference_check_boxes(nodes, bfs, fanout)  # added
-    return DecompTree(nodes=nodes, fanout=fanout, params_info=params_info)
+    counts = [v.noisy_count for v in nodes]  # added: the columns, so the loader never runs
+    cols = spatial._Columns(
+        lo=np.array([v.lo for v in nodes], dtype=np.float64),
+        hi=np.array([v.hi for v in nodes], dtype=np.float64),
+        split=np.array([bool(v.children) for v in nodes]),
+        count=np.array([0.0 if c is None else c for c in counts]),
+        has_count=np.array([c is not None for c in counts]),
+    )
+    return DecompTree(cols, fanout=fanout, params_info=params_info)
 
 
 def reference_check_boxes(nodes, names, fanout):
@@ -2126,14 +2135,7 @@ class TestDerivedBoxes:
     @settings(max_examples=200, deadline=None)
     def test_the_reference_box_check_alone_gives_the_loader_outcome(self, doc):
         got = outcome(spatial.tree_from_json_dict, json.loads(json.dumps(doc)))
-        # the reference builds its tree with DecompTree(nodes=...), which runs
-        # the loader; with the loader's box check gone only its own can refuse
-        real = spatial._leaf_exact_counts
-        spatial._leaf_exact_counts = lambda *args: None
-        try:
-            want = outcome(reference_tree_from_json_dict, json.loads(json.dumps(doc)))
-        finally:
-            spatial._leaf_exact_counts = real
+        want = outcome(reference_tree_from_json_dict, json.loads(json.dumps(doc)))
         if isinstance(want, Raised):
             assert got == want
         else:

@@ -393,7 +393,7 @@ class TestQuadratureEngine:
 
 class TestDefaultAudit:
     def test_report_rows_and_verdicts(self):
-        rows = run_default_audit(lam=2.0, theta=1.0, k=16, t=1)
+        rows = run_default_audit(lam=2.0, theta=1.0, k=16)
         by_variant = {}
         for row in rows:
             by_variant.setdefault(row["variant"], []).append(row)
@@ -568,11 +568,6 @@ class TestDefaultAuditVariants:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ParameterError, match="unknown variant"):
             run_default_audit(variant="reduced")
-
-    @pytest.mark.parametrize("t", [0, 2, 3])
-    def test_t_other_than_one_rejected(self, t):
-        with pytest.raises(ParameterError, match="t must be 1"):
-            run_default_audit(t=t)
 
     @pytest.mark.parametrize("k", [7, 0, 1.5])
     def test_improved_battery_names_k(self, k):

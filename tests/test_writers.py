@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dphier
-from dphier import evalbench, spatial
+from dphier import dp_core, evalbench, spatial
 from dphier.cli import main
 from dphier.dp_core import float_texts, privtree_params
 from dphier.markov import Alphabet, END_TOKEN, START_TOKEN, Pst, build_private_pst
@@ -133,6 +133,15 @@ class TestFloatTexts:
                             math.inf, -math.inf, np.finfo(np.float64).max])
         values = np.concatenate([values, -values, special, -special])
         assert float_texts(values).tolist() == [json.dumps(v) for v in values.tolist()]
+
+    def test_an_exponent_from_orjson_falls_back_to_json(self, monkeypatch):
+        # values in [1e-4, 1e16) take orjson's text unless it holds an "e"
+        def dumps(values):
+            return ("[" + ",".join("1e-4" if v == 1e-4 else repr(v) for v in values) + "]").encode()
+
+        monkeypatch.setattr(dp_core.orjson, "dumps", dumps)
+        values = np.array([1e-4, 0.5, 1e-4])
+        assert float_texts(values).tolist() == ["0.0001", "0.5", "0.0001"]
 
     def test_keeps_the_shape_and_tells_signed_zeros_apart(self):
         got = float_texts(np.array([[-0.0, 0.0], [math.inf, 0.0]]))
